@@ -41,7 +41,7 @@ import (
 // is empty: the paper's SlashBurn.
 const DefaultOrdering = ordering.Default
 
-// Orderings lists the registered reordering engines, sorted — valid values
+// Orderings lists the reordering engines, sorted — the only valid values
 // for Options.Ordering, the bearserve -ordering flag, and ?ordering=.
 func Orderings() []string { return ordering.Names() }
 

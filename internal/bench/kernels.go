@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 	"math/rand"
-	"os"
-	"time"
 
 	"bear/internal/core"
 	"bear/internal/sparse"
@@ -39,54 +34,11 @@ type KernelBaseline struct {
 // kernelSweepLayouts builds every layout under test for one matrix.
 func kernelSweepLayouts(m *sparse.CSR) []kernel.Matrix {
 	ks := []kernel.Matrix{kernel.NewCSR(m)}
-	if h := kernel.NewHybrid(m); h != nil {
-		ks = append(ks, h)
-	}
 	if s := kernel.NewSELL(m); s != nil {
 		ks = append(ks, s)
 	}
 	ks = append(ks, kernel.NewParallel(kernel.NewCSR(m), m, 0))
 	return ks
-}
-
-// measureLayoutsNs times every layout's full SpMV on the same matrix
-// with an interleaved min-of-batches protocol: batch size is calibrated
-// to ~2ms on the csr baseline, then the layouts are timed round-robin —
-// one batch each per round — and each layout reports its best batch.
-// The minimum strips scheduler noise far better than a mean, and the
-// interleaving matters on shared machines: timing each layout's batches
-// back to back lets one slow host phase land entirely on one layout and
-// fabricate (or hide) a speedup ratio.
-func measureLayoutsNs(ks []kernel.Matrix, y, x []float64) []float64 {
-	const batchTarget = 2 * time.Millisecond
-	const rounds = 9
-	reps := 1
-	for reps < 1<<22 {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			ks[0].SpMV(y, x, kernel.Exact)
-		}
-		if time.Since(start) >= batchTarget {
-			break
-		}
-		reps *= 2
-	}
-	best := make([]float64, len(ks))
-	for i := range best {
-		best[i] = math.Inf(1)
-	}
-	for b := 0; b < rounds; b++ {
-		for i, k := range ks {
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				k.SpMV(y, x, kernel.Exact)
-			}
-			if ns := float64(time.Since(start).Nanoseconds()) / float64(reps); ns < best[i] {
-				best[i] = ns
-			}
-		}
-	}
-	return best
 }
 
 // kernelSweepDatasets is the Fig-6 graph ladder: the three datasets the
@@ -121,7 +73,11 @@ func measureKernelSweep(cfg Config) ([]KernelResult, error) {
 			}
 			y := make([]float64, mx.m.R)
 			ks := kernelSweepLayouts(mx.m)
-			ns := measureLayoutsNs(ks, y, x)
+			ops := make([]func(), len(ks))
+			for i, k := range ks {
+				ops[i] = func() { k.SpMV(y, x, kernel.Exact) }
+			}
+			ns := minOfBatchesNs(ops)
 			csrNs := ns[0] // kernelSweepLayouts puts the csr baseline first
 			for i, k := range ks {
 				out = append(out, KernelResult{
@@ -158,40 +114,12 @@ func RunKernels(cfg Config) ([]*Table, error) {
 // -baseline FILE): any layout whose measured speedup falls below 80% of
 // its committed speedup fails the gate.
 func CheckKernels(cfg Config, baselinePath string) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("bench: reading kernel baselines: %w", err)
-	}
-	var file struct {
-		Baselines []KernelBaseline `json:"baselines"`
-	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		return fmt.Errorf("bench: parsing kernel baselines %s: %w", baselinePath, err)
-	}
-	if len(file.Baselines) == 0 {
-		return fmt.Errorf("bench: no baselines in %s", baselinePath)
-	}
-	results, err := measureKernelSweep(cfg)
-	if err != nil {
-		return err
-	}
-	measured := make(map[string]KernelResult, len(results))
-	for _, r := range results {
-		measured[r.Dataset+"/"+r.Matrix+"/"+r.Layout] = r
-	}
-	var failures []error
-	for _, b := range file.Baselines {
-		key := b.Dataset + "/" + b.Matrix + "/" + b.Layout
-		r, ok := measured[key]
-		if !ok {
-			failures = append(failures, fmt.Errorf("%s: baseline present but not measured", key))
-			continue
-		}
-		if floor := 0.8 * b.Speedup; r.Speedup < floor {
-			failures = append(failures,
-				fmt.Errorf("%s: speedup %.2fx below floor %.2fx (80%% of committed %.2fx)",
-					key, r.Speedup, floor, b.Speedup))
-		}
-	}
-	return errors.Join(failures...)
+	return ratioGate[KernelBaseline, KernelResult]{
+		what:        "kernel",
+		baselineKey: func(b KernelBaseline) string { return b.Dataset + "/" + b.Matrix + "/" + b.Layout },
+		resultKey:   func(r KernelResult) string { return r.Dataset + "/" + r.Matrix + "/" + r.Layout },
+		bounds: []ratioBound[KernelBaseline, KernelResult]{speedupFloor("speedup",
+			func(b KernelBaseline) float64 { return b.Speedup },
+			func(r KernelResult) float64 { return r.Speedup })},
+	}.check(baselinePath, func([]KernelBaseline) ([]KernelResult, error) { return measureKernelSweep(cfg) })
 }

@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 	"math/rand"
-	"os"
-	"time"
 
 	"bear/internal/core"
 	"bear/internal/ordering"
@@ -47,11 +42,11 @@ type OrderingBaseline struct {
 	QuerySpeedupVsSlashburn float64 `json:"query_speedup_vs_slashburn"`
 }
 
-// orderingSweepEngines lists the built-in engines with the SlashBurn
-// baseline first, so measurement loops can divide by index 0.
+// orderingSweepEngines lists the engines with the SlashBurn baseline
+// first, so measurement loops can divide by index 0.
 func orderingSweepEngines() []string {
 	out := []string{ordering.Default}
-	for _, name := range ordering.Builtin() {
+	for _, name := range ordering.Names() {
 		if name != ordering.Default {
 			out = append(out, name)
 		}
@@ -60,61 +55,36 @@ func orderingSweepEngines() []string {
 }
 
 // measureOrderingQueriesNs times single-seed queries through each
-// preprocessed index with the interleaved min-of-batches protocol of
-// measureLayoutsNs: batch size calibrated to ~2ms on the first index
-// (the SlashBurn baseline), indexes timed round-robin one batch per
-// round, best batch each. One op is one QueryTo over the shared seed
-// set, reusing a workspace so the measurement is allocation-free.
+// preprocessed index with minOfBatchesNs, the SlashBurn baseline first.
+// One op is one QueryTo over the shared seed set, reusing a workspace so
+// the measurement is allocation-free; the result is ns per query.
 func measureOrderingQueriesNs(ps []*core.Precomputed, seeds []int) ([]float64, error) {
-	const batchTarget = 2 * time.Millisecond
-	const rounds = 9
 	dst := make([]float64, ps[0].N)
-	wss := make([]*core.Workspace, len(ps))
+	ops := make([]func(), len(ps))
 	for i, p := range ps {
-		wss[i] = p.AcquireWorkspace()
-		defer p.ReleaseWorkspace(wss[i])
+		ws := p.AcquireWorkspace()
+		defer p.ReleaseWorkspace(ws)
 		// Warm pass: surfaces errors once so the timed loops can ignore them.
 		for _, s := range seeds {
-			if err := p.QueryTo(dst, s, wss[i]); err != nil {
+			if err := p.QueryTo(dst, s, ws); err != nil {
 				return nil, fmt.Errorf("bench: ordering query seed %d: %w", s, err)
 			}
 		}
-	}
-	reps := 1
-	for reps < 1<<20 {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
+		ops[i] = func() {
 			for _, s := range seeds {
-				ps[0].QueryTo(dst, s, wss[0])
-			}
-		}
-		if time.Since(start) >= batchTarget {
-			break
-		}
-		reps *= 2
-	}
-	best := make([]float64, len(ps))
-	for i := range best {
-		best[i] = math.Inf(1)
-	}
-	for b := 0; b < rounds; b++ {
-		for i, p := range ps {
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				for _, s := range seeds {
-					p.QueryTo(dst, s, wss[i])
-				}
-			}
-			if ns := float64(time.Since(start).Nanoseconds()) / float64(reps*len(seeds)); ns < best[i] {
-				best[i] = ns
+				p.QueryTo(dst, s, ws)
 			}
 		}
 	}
-	return best, nil
+	ns := minOfBatchesNs(ops)
+	for i := range ns {
+		ns[i] /= float64(len(seeds))
+	}
+	return ns, nil
 }
 
 // measureOrderingSweep preprocesses each ladder dataset under every
-// built-in ordering engine and measures the four-way trade-off,
+// ordering engine and measures the four-way trade-off,
 // returning one row per (dataset, ordering) with ratios vs SlashBurn.
 func measureOrderingSweep(cfg Config) ([]OrderingResult, error) {
 	cfg = cfg.withDefaults()
@@ -161,7 +131,7 @@ func measureOrderingSweep(cfg Config) ([]OrderingResult, error) {
 
 // RunOrderings compares the pluggable ordering engines on the Fig-6
 // graph ladder (bearbench -exp orderings): fill, memory, preprocessing
-// time, and query latency for each of slashburn/mindeg/nd. This sweep
+// time, and query latency for slashburn and mindeg. This sweep
 // has no counterpart in the paper, which evaluates SlashBurn only; the
 // committed headline numbers live in BENCH_orderings.json.
 func RunOrderings(cfg Config) ([]*Table, error) {
@@ -190,45 +160,17 @@ func RunOrderings(cfg Config) ([]*Table, error) {
 // committed numbers must be regenerated deliberately. Query speedups
 // get the kernel gate's 20% timing slack.
 func CheckOrderings(cfg Config, baselinePath string) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("bench: reading ordering baselines: %w", err)
-	}
-	var file struct {
-		Baselines []OrderingBaseline `json:"baselines"`
-	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		return fmt.Errorf("bench: parsing ordering baselines %s: %w", baselinePath, err)
-	}
-	if len(file.Baselines) == 0 {
-		return fmt.Errorf("bench: no baselines in %s", baselinePath)
-	}
-	results, err := measureOrderingSweep(cfg)
-	if err != nil {
-		return err
-	}
-	measured := make(map[string]OrderingResult, len(results))
-	for _, r := range results {
-		measured[r.Dataset+"/"+r.Ordering] = r
-	}
-	var failures []error
-	for _, b := range file.Baselines {
-		key := b.Dataset + "/" + b.Ordering
-		r, ok := measured[key]
-		if !ok {
-			failures = append(failures, fmt.Errorf("%s: baseline present but not measured", key))
-			continue
-		}
-		if ceil := 1.25 * b.FillVsSlashburn; r.FillVsSlashburn > ceil {
-			failures = append(failures,
-				fmt.Errorf("%s: fill ratio %.3fx above ceiling %.3fx (125%% of committed %.3fx)",
-					key, r.FillVsSlashburn, ceil, b.FillVsSlashburn))
-		}
-		if floor := 0.8 * b.QuerySpeedupVsSlashburn; r.QuerySpeedupVsSlashburn < floor {
-			failures = append(failures,
-				fmt.Errorf("%s: query speedup %.2fx below floor %.2fx (80%% of committed %.2fx)",
-					key, r.QuerySpeedupVsSlashburn, floor, b.QuerySpeedupVsSlashburn))
-		}
-	}
-	return errors.Join(failures...)
+	return ratioGate[OrderingBaseline, OrderingResult]{
+		what:        "ordering",
+		baselineKey: func(b OrderingBaseline) string { return b.Dataset + "/" + b.Ordering },
+		resultKey:   func(r OrderingResult) string { return r.Dataset + "/" + r.Ordering },
+		bounds: []ratioBound[OrderingBaseline, OrderingResult]{
+			{metric: "fill ratio", factor: 1.25, decimals: 3,
+				committed: func(b OrderingBaseline) float64 { return b.FillVsSlashburn },
+				measured:  func(r OrderingResult) float64 { return r.FillVsSlashburn }},
+			speedupFloor("query speedup",
+				func(b OrderingBaseline) float64 { return b.QuerySpeedupVsSlashburn },
+				func(r OrderingResult) float64 { return r.QuerySpeedupVsSlashburn }),
+		},
+	}.check(baselinePath, func([]OrderingBaseline) ([]OrderingResult, error) { return measureOrderingSweep(cfg) })
 }

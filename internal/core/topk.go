@@ -27,13 +27,6 @@ const (
 	// TopKFallbackAllNodes: k covers every node, so there is no rank k+1 to
 	// separate from and nothing to prune.
 	TopKFallbackAllNodes = "k_covers_graph"
-	// TopKFallbackUncertified: the push bound could not separate rank k
-	// from rank k+1 within the round and push budgets (small gap, boundary
-	// tie, or residual mass that would not shrink). Such queries are now
-	// answered by the block-pruned exact solve rather than the full one,
-	// so this reason no longer appears in Stats.Fallback; the constant is
-	// retained for callers that match on it.
-	TopKFallbackUncertified = "bound_not_separating"
 )
 
 // TopKStats reports how a hybrid top-k query was answered.

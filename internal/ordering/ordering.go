@@ -3,7 +3,7 @@
 // graph to a hub/spoke split, a block partition of the spokes, and a
 // per-block node order — the structure every downstream stage (block LU,
 // Schur complement, the Lemma-1 single-seed fast path, incremental dirty-
-// block rebuilds, future block-level sharding) is built on.
+// block rebuilds) is built on.
 //
 // Every engine must satisfy the same contract, spelled out on Result and
 // enforced by Validate:
@@ -18,15 +18,12 @@
 //
 // Any permutation meeting the contract yields exact query results; engines
 // differ only in fill-in of the inverted factors, Schur size, preprocess
-// time, and query speed. Three engines are built in — SlashBurn (the
-// paper's choice), minimum-degree elimination, and nested dissection — and
-// more can be added with Register.
+// time, and query speed. The engine set is closed: SlashBurn (the paper's
+// choice) and minimum-degree elimination.
 package ordering
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"bear/internal/graph"
 )
@@ -38,9 +35,7 @@ const Default = "slashburn"
 // Params carries the tuning inputs an engine derives its own knobs from.
 type Params struct {
 	// K is the hub-selection budget, the SlashBurn wave size of the paper
-	// (k = 0.001·n by default, clamped to at least 1). Engines without a
-	// wave notion reuse it as their scale knob: nested dissection stops
-	// recursing at components of max(32, 2K) nodes. Must be positive.
+	// (k = 0.001·n by default, clamped to at least 1). Must be positive.
 	K int
 }
 
@@ -56,15 +51,9 @@ type Result struct {
 	Blocks  []int // sizes of the diagonal blocks of H₁₁, in position order
 
 	// Iterations is an engine-specific work counter: hub-removal waves for
-	// slashburn, mass-eliminated (supernode-absorbed) nodes for mindeg,
-	// recursion depth for nd. Purely observational.
+	// slashburn, mass-eliminated (supernode-absorbed) nodes for mindeg.
+	// Purely observational.
 	Iterations int
-
-	// Tree is the recursion tree of a nested-dissection ordering, nil for
-	// other engines. It is the partition structure block-level sharding
-	// needs: each leaf names one diagonal block, each internal node names
-	// the separator (hub subset) that splits its region.
-	Tree *PartitionTree
 }
 
 // SumSqBlocks returns Σ n₁ᵢ², the quantity the paper's complexity analysis
@@ -77,46 +66,11 @@ func (r *Result) SumSqBlocks() int64 {
 	return s
 }
 
-// PartitionTree is the recursion tree of a nested-dissection ordering.
-// Leaves are in left-to-right position order, so the blocks covered by any
-// subtree occupy one contiguous range of spoke positions — the property a
-// future sharding layer needs to assign subtrees to shards while
-// replicating only the (small) separator/hub factors.
-type PartitionTree struct {
-	// Lo and Hi bound the final spoke positions covered by this subtree's
-	// leaf blocks: [Lo, Hi).
-	Lo, Hi int
-	// Block indexes Result.Blocks for a leaf node; -1 for internal nodes.
-	Block int
-	// SepNodes lists the original node ids of the separator this internal
-	// node removed (always empty on leaves). Every separator node is a hub
-	// in the final ordering.
-	SepNodes []int
-	// Children are the sub-regions the separator disconnected, in position
-	// order. Empty on leaves.
-	Children []*PartitionTree
-}
-
-// Leaves appends the tree's leaf nodes in position order to dst and
-// returns it.
-func (t *PartitionTree) Leaves(dst []*PartitionTree) []*PartitionTree {
-	if t == nil {
-		return dst
-	}
-	if len(t.Children) == 0 {
-		return append(dst, t)
-	}
-	for _, c := range t.Children {
-		dst = c.Leaves(dst)
-	}
-	return dst
-}
-
 // Ordering is one reordering engine. Implementations must be stateless and
 // safe for concurrent use; Run must be deterministic for a given graph and
 // params (rebuild equivalence tests depend on it).
 type Ordering interface {
-	// Name returns the engine's registry name, a lowercase identifier
+	// Name returns the engine's name, a lowercase identifier
 	// stable across releases (it is persisted in snapshots).
 	Name() string
 	// Run orders g. The graph is viewed as undirected (out ∪ in edges), as
@@ -125,107 +79,30 @@ type Ordering interface {
 	Run(g *graph.Graph, p Params) (*Result, error)
 }
 
-// NonReusable is an optional interface for engines whose partitions must
-// not be reused across graph mutations (for example, orderings whose block
-// structure depends on edge weights). Incremental rebuilds fall back to a
-// full pass for such engines; engines not implementing it are reusable.
-type NonReusable interface {
-	// ReusablePartition reports whether dirty-block rebuilds may reuse a
-	// partition this engine produced after the graph has changed.
-	ReusablePartition() bool
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Ordering{}
-	builtin  []string
-)
-
-func init() {
-	for _, o := range []Ordering{SlashBurn{}, MinDegree{}, NestedDissection{}} {
-		if err := Register(o); err != nil {
-			panic(err)
-		}
-		builtin = append(builtin, o.Name())
-	}
-	sort.Strings(builtin)
-}
-
-// Register adds an engine to the registry, making it selectable by name
-// through core.Options.Ordering, the bearserve -ordering flag, and PUT
-// ?ordering=. It errors on an empty or duplicate name.
-func Register(o Ordering) error {
-	name := o.Name()
-	if name == "" {
-		return fmt.Errorf("ordering: engine with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("ordering: engine %q already registered", name)
-	}
-	registry[name] = o
-	return nil
-}
-
 // Get resolves an engine by name; the empty string selects Default. An
 // unknown name is an explicit error (callers surface it before any
 // preprocessing work, and snapshot restore refuses the file).
 func Get(name string) (Ordering, error) {
-	if name == "" {
-		name = Default
+	switch Normalize(name) {
+	case "slashburn":
+		return SlashBurn{}, nil
+	case "mindeg":
+		return MinDegree{}, nil
 	}
-	regMu.RLock()
-	o, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("ordering: unknown ordering %q (have %v)", name, Names())
-	}
-	return o, nil
+	return nil, fmt.Errorf("ordering: unknown ordering %q (have %v)", name, Names())
 }
 
-// Names lists every registered engine, sorted. The set is closed at
-// runtime, so it can back bounded metric label sets.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Builtin lists the engines compiled into the package (excluding any
-// runtime registrations), sorted — the set documentation and CI doc-drift
-// guards check against.
-func Builtin() []string {
-	return append([]string(nil), builtin...)
-}
+// Names lists every engine, sorted. The set is closed, so it backs bounded
+// metric label sets and the documentation drift guard.
+func Names() []string { return []string{"mindeg", "slashburn"} }
 
 // Normalize maps the empty name to Default and leaves every other name
-// unchanged; it does not check registration.
+// unchanged; it does not check that the engine exists.
 func Normalize(name string) string {
 	if name == "" {
 		return Default
 	}
 	return name
-}
-
-// Reusable reports whether incremental rebuilds may reuse a partition
-// produced by the named engine (empty = Default). Unknown engines report
-// false — without the engine, there is no way to know its contract, so
-// the rebuild path conservatively runs a full pass.
-func Reusable(name string) bool {
-	o, err := Get(name)
-	if err != nil {
-		return false
-	}
-	if nr, ok := o.(NonReusable); ok {
-		return nr.ReusablePartition()
-	}
-	return true
 }
 
 // CheckStructure verifies the O(n) part of the contract — permutation
@@ -301,59 +178,6 @@ func Validate(g *graph.Graph, r *Result) error {
 					u, v, blockOf[pu], blockOf[pv])
 			}
 		}
-	}
-	if r.Tree != nil {
-		if err := validateTree(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateTree checks a PartitionTree against its Result: leaves must
-// enumerate the blocks in position order with consistent [Lo,Hi) ranges,
-// and every separator node must be a hub.
-func validateTree(r *Result) error {
-	leaves := r.Tree.Leaves(nil)
-	if len(leaves) != len(r.Blocks) {
-		return fmt.Errorf("ordering: partition tree has %d leaves, want %d blocks", len(leaves), len(r.Blocks))
-	}
-	pos := 0
-	for i, leaf := range leaves {
-		if leaf.Block != i {
-			return fmt.Errorf("ordering: leaf %d labels block %d", i, leaf.Block)
-		}
-		if leaf.Lo != pos || leaf.Hi != pos+r.Blocks[i] {
-			return fmt.Errorf("ordering: leaf %d covers [%d,%d), want [%d,%d)",
-				i, leaf.Lo, leaf.Hi, pos, pos+r.Blocks[i])
-		}
-		pos += r.Blocks[i]
-	}
-	n1 := len(r.Perm) - r.NumHubs
-	seps := 0
-	var walk func(t *PartitionTree) error
-	walk = func(t *PartitionTree) error {
-		if len(t.Children) == 0 && len(t.SepNodes) > 0 {
-			return fmt.Errorf("ordering: leaf carries a separator")
-		}
-		for _, u := range t.SepNodes {
-			if r.Perm[u] < n1 {
-				return fmt.Errorf("ordering: separator node %d is not a hub", u)
-			}
-			seps++
-		}
-		for _, c := range t.Children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(r.Tree); err != nil {
-		return err
-	}
-	if seps != r.NumHubs {
-		return fmt.Errorf("ordering: tree separators cover %d hubs, want %d", seps, r.NumHubs)
 	}
 	return nil
 }

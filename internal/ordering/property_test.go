@@ -103,12 +103,11 @@ func orderingFixtures() []struct {
 // table at two hub budgets and checks the full contract via Validate:
 // bijective permutation with hubs last, positive position-ordered blocks
 // covering exactly the spokes, no undirected edge between spokes of
-// different blocks (the Lemma 1 precondition), and a well-formed
-// partition tree when one is exported. Results must also be
+// different blocks (the Lemma 1 precondition). Results must also be
 // deterministic — two runs on the same graph bit-identical — because
 // the incremental rebuild and the snapshot format both assume it.
 func TestOrderingInvariants(t *testing.T) {
-	for _, engName := range ordering.Builtin() {
+	for _, engName := range ordering.Names() {
 		eng, err := ordering.Get(engName)
 		if err != nil {
 			t.Fatalf("Get(%q): %v", engName, err)
@@ -143,41 +142,9 @@ func TestOrderingInvariants(t *testing.T) {
 	}
 }
 
-// TestPartitionTreeLeaves: the nd engine exports a partition tree whose
-// leaves enumerate the blocks in position order — the contract future
-// shard placement consumes.
-func TestPartitionTreeLeaves(t *testing.T) {
-	eng, err := ordering.Get("nd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 8, Size: 12, PIntra: 0.35, Hubs: 5, HubDeg: 18, Seed: 11})
-	res, err := eng.Run(g, ordering.Params{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tree == nil {
-		t.Fatal("nd exported no partition tree")
-	}
-	leaves := res.Tree.Leaves(nil)
-	if len(leaves) != len(res.Blocks) {
-		t.Fatalf("%d tree leaves, %d blocks", len(leaves), len(res.Blocks))
-	}
-	pos := 0
-	for i, lf := range leaves {
-		if lf.Block != i {
-			t.Fatalf("leaf %d carries block %d", i, lf.Block)
-		}
-		if lf.Lo != pos || lf.Hi != pos+res.Blocks[i] {
-			t.Fatalf("leaf %d spans [%d,%d), want [%d,%d)", i, lf.Lo, lf.Hi, pos, pos+res.Blocks[i])
-		}
-		pos = lf.Hi
-	}
-}
-
 // TestRegistry covers the lookup surface: the empty name is the
-// SlashBurn default, unknown names error listing the known set, and
-// duplicate registration is refused.
+// SlashBurn default, every listed name resolves, and unknown or deleted
+// names error listing the known set.
 func TestRegistry(t *testing.T) {
 	def, err := ordering.Get("")
 	if err != nil {
@@ -186,23 +153,19 @@ func TestRegistry(t *testing.T) {
 	if def.Name() != ordering.Default {
 		t.Fatalf(`Get("") = %q, want %q`, def.Name(), ordering.Default)
 	}
-	if _, err := ordering.Get("no-such-engine"); err == nil {
-		t.Fatal("Get(unknown) did not error")
-	} else if !strings.Contains(err.Error(), "no-such-engine") || !strings.Contains(err.Error(), ordering.Default) {
-		t.Fatalf("Get(unknown) error %q should name the bad engine and list the known ones", err)
+	for _, bad := range []string{"no-such-engine", "nd"} {
+		if _, err := ordering.Get(bad); err == nil {
+			t.Fatalf("Get(%q) did not error", bad)
+		} else if !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), ordering.Default) {
+			t.Fatalf("Get(%q) error %q should name the bad engine and list the known ones", bad, err)
+		}
 	}
 	if got := ordering.Normalize(""); got != ordering.Default {
 		t.Fatalf(`Normalize("") = %q`, got)
 	}
-	for _, name := range ordering.Builtin() {
-		if !ordering.Reusable(name) {
-			t.Errorf("built-in %s reports non-reusable partitions", name)
+	for _, name := range ordering.Names() {
+		if o, err := ordering.Get(name); err != nil || o.Name() != name {
+			t.Errorf("Get(%q) = %v, %v", name, o, err)
 		}
-	}
-	if ordering.Reusable("no-such-engine") {
-		t.Error("unknown engine reported reusable")
-	}
-	if err := ordering.Register(ordering.SlashBurn{}); err == nil {
-		t.Error("duplicate Register did not error")
 	}
 }

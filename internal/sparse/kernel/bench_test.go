@@ -52,12 +52,6 @@ func benchLayouts(m *sparse.CSR) []struct {
 	}{
 		{"csr", kernel.NewCSR(m)},
 	}
-	if h := kernel.NewHybrid(m); h != nil {
-		out = append(out, struct {
-			name string
-			k    kernel.Matrix
-		}{"hybrid", h})
-	}
 	if s := kernel.NewSELL(m); s != nil {
 		out = append(out, struct {
 			name string

@@ -3,9 +3,7 @@ package kernel
 import "bear/internal/sparse"
 
 // CSR is the baseline layout: a thin adapter over the tuned kernels of
-// sparse.CSR. Exact mode delegates to them directly (bit-identity by
-// construction); Reassoc mode runs a 4-way strided unroll for the
-// vector kernels.
+// sparse.CSR, bit-identical to them by construction.
 type CSR struct {
 	m *sparse.CSR
 }
@@ -17,55 +15,18 @@ func (k *CSR) Dims() (int, int) { return k.m.R, k.m.C }
 func (k *CSR) NNZ() int         { return k.m.NNZ() }
 func (k *CSR) Layout() string   { return layoutCSR }
 
-// reassocDot accumulates val·x[col] with four strided partial sums
-// combined in the fixed order (a0+a1)+(a2+a3), then a serial tail —
-// deterministic, but rounded differently from the serial Exact order.
-func reassocDot(val []float64, col []int, x []float64) float64 {
-	var a0, a1, a2, a3 float64
-	j := 0
-	for ; j+4 <= len(val); j += 4 {
-		a0 += val[j] * x[col[j]]
-		a1 += val[j+1] * x[col[j+1]]
-		a2 += val[j+2] * x[col[j+2]]
-		a3 += val[j+3] * x[col[j+3]]
-	}
-	s := (a0 + a1) + (a2 + a3)
-	for ; j < len(val); j++ {
-		s += val[j] * x[col[j]]
-	}
-	return s
-}
-
-func (k *CSR) reassocRows(y, x []float64, lo, hi int) {
-	m := k.m
-	for i := lo; i < hi; i++ {
-		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
-		y[i] = reassocDot(m.Val[ks:ke], m.ColIdx[ks:ke:ke], x)
-	}
-}
-
 func (k *CSR) SpMV(y, x []float64, mode Mode) {
 	statSpMV(layoutCSR)
-	if mode == Reassoc {
-		k.reassocRows(y, x, 0, k.m.R)
-		return
-	}
 	k.m.MulVecTo(y, x)
 }
 
 func (k *CSR) SpMVRange(y, x []float64, lo, hi int, mode Mode) {
 	statSpMV(layoutCSR)
-	if mode == Reassoc {
-		k.reassocRows(y, x, lo, hi)
-		return
-	}
 	k.m.MulVecRangeTo(y, x, lo, hi)
 }
 
 func (k *CSR) SpMVColRange(y, x []float64, lo, hi int, mode Mode) {
 	statSpMV(layoutCSR)
-	// The column-windowed kernel binary-searches each row's window; rows
-	// are short there, so no reassociated variant pays off.
 	k.m.MulVecColRangeTo(y, x, lo, hi)
 }
 
@@ -86,13 +47,5 @@ func (k *CSR) SpMMColRange(y, x []float64, nb, lo, hi int, mode Mode) {
 
 func (k *CSR) Residual(r, q, x []float64, mode Mode) {
 	statSpMV(layoutCSR)
-	if mode == Reassoc {
-		m := k.m
-		for i := 0; i < m.R; i++ {
-			ks, ke := m.RowPtr[i], m.RowPtr[i+1]
-			r[i] = q[i] - reassocDot(m.Val[ks:ke], m.ColIdx[ks:ke:ke], x)
-		}
-		return
-	}
 	sparse.ResidualTo(r, q, k.m, x)
 }

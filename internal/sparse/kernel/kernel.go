@@ -8,11 +8,6 @@
 //
 //   - csr: the baseline — delegates to the tuned CSR kernels in package
 //     sparse. Every other layout is verified against it.
-//   - hybrid: dense-run CSR. Rows whose stored columns form one contiguous
-//     run (the common case in BEAR's block-diagonal spoke factors, where a
-//     row's support is its own block) are stored index-free and multiplied
-//     as a dense dot against a window of x; remaining rows keep int32
-//     column indices. Halves the index traffic on run-heavy matrices.
 //   - sell: SELL-C-σ (sliced ELLPACK, C=8, σ=C). Rows are processed in
 //     slices of 8, sorted by length within the slice, entries stored
 //     column-position-major so the 8 accumulators advance in lockstep.
@@ -26,34 +21,21 @@
 // sparse.(*CSR).MulVecTo (ascending stored-column order), and the parallel
 // wrapper assigns each row to exactly one partition whose boundaries
 // depend only on the matrix and the worker count — never on scheduling.
-// Reassoc mode permits a fixed, deterministic reassociation (a 4-way
-// strided unroll combined as (a0+a1)+(a2+a3), then a serial tail): results
-// are still run-to-run identical, but may differ from Exact in the last
-// few ulps. Layouts for which no profitable reassociated variant exists
-// serve Reassoc with their Exact kernel, which trivially satisfies the
-// weaker contract.
 package kernel
 
 import "sync/atomic"
 
-// Mode selects the accumulation contract for a kernel call.
+// Mode selects the accumulation contract for a kernel call. Exact is the
+// only contract; the parameter stays on every Matrix method so callers
+// keep a stable signature.
 type Mode int
 
 const (
 	// Exact requires bit-identical results to the baseline CSR kernels.
 	Exact Mode = iota
-	// Reassoc permits deterministic reassociation of row accumulations;
-	// results may differ from Exact by rounding (≤1e-12 relative error on
-	// well-scaled inputs) but are identical across runs and worker counts.
-	Reassoc
 )
 
-func (m Mode) String() string {
-	if m == Reassoc {
-		return "reassoc"
-	}
-	return "exact"
-}
+func (m Mode) String() string { return "exact" }
 
 // Matrix is the kernel-layer view of a sparse matrix. y/r are fully
 // overwritten outside the documented row window; x is never modified.
@@ -64,7 +46,7 @@ type Matrix interface {
 	Dims() (r, c int)
 	// NNZ returns the stored entry count.
 	NNZ() int
-	// Layout names the storage layout ("csr", "hybrid", "sell", "parallel").
+	// Layout names the storage layout ("csr", "sell", "parallel").
 	Layout() string
 
 	// SpMV computes y = M·x. len(y) = rows, len(x) = cols.
@@ -101,21 +83,19 @@ type layoutStats struct {
 
 const (
 	layoutCSR      = "csr"
-	layoutHybrid   = "hybrid"
 	layoutSELL     = "sell"
 	layoutParallel = "parallel"
 )
 
 var stats = map[string]*layoutStats{
 	layoutCSR:      new(layoutStats),
-	layoutHybrid:   new(layoutStats),
 	layoutSELL:     new(layoutStats),
 	layoutParallel: new(layoutStats),
 }
 
 // Layouts lists every layout name that Stats reports, in display order.
 func Layouts() []string {
-	return []string{layoutCSR, layoutHybrid, layoutSELL, layoutParallel}
+	return []string{layoutCSR, layoutSELL, layoutParallel}
 }
 
 // Stats returns the cumulative selection and call counters for a layout.

@@ -24,7 +24,7 @@ func randCSR(rng *rand.Rand, r, c int, density float64) *sparse.CSR {
 }
 
 // blockDiagCSR emits a block-diagonal matrix with dense-ish blocks — the
-// spoke-factor shape where the hybrid layout's dense-run path dominates.
+// shape of BEAR's spoke factors.
 func blockDiagCSR(rng *rand.Rand, blocks []int, fill float64) *sparse.CSR {
 	var coords []sparse.Coord
 	off := 0
@@ -52,13 +52,6 @@ type layoutCase struct {
 func layoutCases(t testing.TB) []layoutCase {
 	cases := []layoutCase{
 		{"csr", func(m *sparse.CSR) kernel.Matrix { return kernel.NewCSR(m) }},
-		{"hybrid", func(m *sparse.CSR) kernel.Matrix {
-			h := kernel.NewHybrid(m)
-			if h == nil {
-				t.Fatal("NewHybrid returned nil for an int32-narrowable matrix")
-			}
-			return h
-		}},
 		{"sell", func(m *sparse.CSR) kernel.Matrix {
 			s := kernel.NewSELL(m)
 			if s == nil {
@@ -69,7 +62,7 @@ func layoutCases(t testing.TB) []layoutCase {
 	}
 	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
 		workers := workers
-		for _, base := range cases[:3] {
+		for _, base := range cases[:2] {
 			base := base
 			cases = append(cases, layoutCase{
 				name: fmt.Sprintf("parallel(%s,w=%d)", base.name, workers),
@@ -82,29 +75,12 @@ func layoutCases(t testing.TB) []layoutCase {
 	return cases
 }
 
-func relErr(got, want float64) float64 {
-	d := math.Abs(got - want)
-	if d == 0 {
-		return 0
-	}
-	scale := math.Abs(want)
-	if scale < 1 {
-		scale = 1
-	}
-	return d / scale
-}
-
-// checkVec compares a kernel result against the baseline: bit-identical
-// in Exact mode, ≤1e-12 relative error in Reassoc mode.
-func checkVec(t *testing.T, what string, mode kernel.Mode, got, want []float64) {
+// checkVec asserts a kernel result is bit-identical to the baseline.
+func checkVec(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
-		if mode == kernel.Exact {
-			if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-				t.Fatalf("%s [%s]: y[%d] = %v, baseline %v (must be bit-identical)", what, mode, i, got[i], want[i])
-			}
-		} else if e := relErr(got[i], want[i]); e > 1e-12 {
-			t.Fatalf("%s [%s]: y[%d] = %v, baseline %v, rel err %g > 1e-12", what, mode, i, got[i], want[i], e)
+		if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: y[%d] = %v, baseline %v (must be bit-identical)", what, i, got[i], want[i])
 		}
 	}
 }
@@ -123,8 +99,8 @@ func fixtures(rng *rand.Rand) map[string]*sparse.CSR {
 
 // TestKernelLayoutsMatchBaseline is the satellite property test: random
 // graphs × every layout × {1, 3, GOMAXPROCS} workers, asserting
-// bit-identical results vs baseline CSR in Exact mode and ≤1e-12 relative
-// error in Reassoc mode, for every primitive in the Matrix interface.
+// bit-identical results vs baseline CSR in Exact mode for every primitive
+// in the Matrix interface.
 // CI runs this under -race, which also exercises the pool partitioning.
 func TestKernelLayoutsMatchBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -161,60 +137,59 @@ func TestKernelLayoutsMatchBaseline(t *testing.T) {
 			if k.NNZ() != m.NNZ() {
 				t.Fatalf("%s/%s: NNZ = %d, want %d", mname, lc.name, k.NNZ(), m.NNZ())
 			}
-			for _, mode := range []kernel.Mode{kernel.Exact, kernel.Reassoc} {
-				tag := fmt.Sprintf("%s/%s", mname, lc.name)
+			const mode = kernel.Exact
+			tag := fmt.Sprintf("%s/%s", mname, lc.name)
 
-				y := make([]float64, m.R)
-				k.SpMV(y, x, mode)
-				checkVec(t, tag+"/SpMV", mode, y, wantVec)
-				// Determinism: a second call must reproduce the first bit
-				// for bit, in either mode.
-				y2 := make([]float64, m.R)
-				k.SpMV(y2, x, mode)
-				checkVec(t, tag+"/SpMV-repeat", kernel.Exact, y2, y)
+			y := make([]float64, m.R)
+			k.SpMV(y, x, mode)
+			checkVec(t, tag+"/SpMV", y, wantVec)
+			// Determinism: a second call must reproduce the first bit
+			// for bit.
+			y2 := make([]float64, m.R)
+			k.SpMV(y2, x, mode)
+			checkVec(t, tag+"/SpMV-repeat", y2, y)
 
-				for _, w := range rowWins {
-					lo, hi := w[0], w[1]
-					want := make([]float64, m.R)
-					m.MulVecRangeTo(want, x, lo, hi)
-					got := make([]float64, m.R)
-					k.SpMVRange(got, x, lo, hi, mode)
-					checkVec(t, fmt.Sprintf("%s/SpMVRange[%d:%d]", tag, lo, hi), mode, got[lo:hi], want[lo:hi])
-				}
-				for _, w := range colWins {
-					lo, hi := w[0], w[1]
-					want := make([]float64, m.R)
-					m.MulVecColRangeTo(want, x, lo, hi)
-					got := make([]float64, m.R)
-					k.SpMVColRange(got, x, lo, hi, mode)
-					checkVec(t, fmt.Sprintf("%s/SpMVColRange[%d:%d]", tag, lo, hi), mode, got, want)
-				}
+			for _, w := range rowWins {
+				lo, hi := w[0], w[1]
+				want := make([]float64, m.R)
+				m.MulVecRangeTo(want, x, lo, hi)
+				got := make([]float64, m.R)
+				k.SpMVRange(got, x, lo, hi, mode)
+				checkVec(t, fmt.Sprintf("%s/SpMVRange[%d:%d]", tag, lo, hi), got[lo:hi], want[lo:hi])
+			}
+			for _, w := range colWins {
+				lo, hi := w[0], w[1]
+				want := make([]float64, m.R)
+				m.MulVecColRangeTo(want, x, lo, hi)
+				got := make([]float64, m.R)
+				k.SpMVColRange(got, x, lo, hi, mode)
+				checkVec(t, fmt.Sprintf("%s/SpMVColRange[%d:%d]", tag, lo, hi), got, want)
+			}
 
-				ym := make([]float64, m.R*nb)
-				k.SpMM(ym, xm, nb, mode)
-				checkVec(t, tag+"/SpMM", mode, ym, wantMM)
-				for _, w := range rowWins {
-					lo, hi := w[0], w[1]
-					want := make([]float64, m.R*nb)
-					m.MulRangeMultiTo(want, xm, nb, lo, hi)
-					got := make([]float64, m.R*nb)
-					k.SpMMRange(got, xm, nb, lo, hi, mode)
-					checkVec(t, fmt.Sprintf("%s/SpMMRange[%d:%d]", tag, lo, hi), mode, got[lo*nb:hi*nb], want[lo*nb:hi*nb])
-				}
-				for _, w := range colWins {
-					lo, hi := w[0], w[1]
-					want := make([]float64, m.R*nb)
-					m.MulColRangeMultiTo(want, xm, nb, lo, hi)
-					got := make([]float64, m.R*nb)
-					k.SpMMColRange(got, xm, nb, lo, hi, mode)
-					checkVec(t, fmt.Sprintf("%s/SpMMColRange[%d:%d]", tag, lo, hi), mode, got, want)
-				}
+			ym := make([]float64, m.R*nb)
+			k.SpMM(ym, xm, nb, mode)
+			checkVec(t, tag+"/SpMM", ym, wantMM)
+			for _, w := range rowWins {
+				lo, hi := w[0], w[1]
+				want := make([]float64, m.R*nb)
+				m.MulRangeMultiTo(want, xm, nb, lo, hi)
+				got := make([]float64, m.R*nb)
+				k.SpMMRange(got, xm, nb, lo, hi, mode)
+				checkVec(t, fmt.Sprintf("%s/SpMMRange[%d:%d]", tag, lo, hi), got[lo*nb:hi*nb], want[lo*nb:hi*nb])
+			}
+			for _, w := range colWins {
+				lo, hi := w[0], w[1]
+				want := make([]float64, m.R*nb)
+				m.MulColRangeMultiTo(want, xm, nb, lo, hi)
+				got := make([]float64, m.R*nb)
+				k.SpMMColRange(got, xm, nb, lo, hi, mode)
+				checkVec(t, fmt.Sprintf("%s/SpMMColRange[%d:%d]", tag, lo, hi), got, want)
+			}
 
-				if m.R == m.C {
-					res := make([]float64, m.R)
-					k.Residual(res, q, x, mode)
-					checkVec(t, tag+"/Residual", mode, res, wantRes)
-				}
+			if m.R == m.C {
+				res := make([]float64, m.R)
+				k.Residual(res, q, x, mode)
+				checkVec(t, tag+"/Residual", res, wantRes)
 			}
 		}
 	}
@@ -225,7 +200,6 @@ func TestParseConfig(t *testing.T) {
 		"":         {},
 		"auto":     {},
 		"csr":      {Layout: kernel.ForceCSR},
-		"hybrid":   {Layout: kernel.ForceHybrid},
 		"sell":     {Layout: kernel.ForceSELL},
 		"parallel": {Workers: -1},
 	} {
@@ -237,8 +211,10 @@ func TestParseConfig(t *testing.T) {
 			t.Fatalf("ParseConfig(%q) = %+v, want %+v", spec, got, want)
 		}
 	}
-	if _, err := kernel.ParseConfig("blocked-nonsense"); err == nil {
-		t.Fatal("ParseConfig accepted an unknown spec")
+	for _, spec := range []string{"blocked-nonsense", "hybrid"} {
+		if _, err := kernel.ParseConfig(spec); err == nil {
+			t.Fatalf("ParseConfig accepted the unknown spec %q", spec)
+		}
 	}
 }
 
@@ -269,8 +245,8 @@ func TestAutoSelection(t *testing.T) {
 	if got := kernel.New(tiny, kernel.Config{}).Layout(); got != "csr" {
 		t.Fatalf("tiny auto layout = %s, want csr", got)
 	}
-	if got := kernel.New(spoke, kernel.Config{Layout: kernel.ForceHybrid}).Layout(); got != "hybrid" {
-		t.Fatalf("forced layout = %s, want hybrid", got)
+	if got := kernel.New(spoke, kernel.Config{Layout: kernel.ForceSELL}).Layout(); got != "sell" {
+		t.Fatalf("forced layout = %s, want sell", got)
 	}
 	// spoke has ~4.8k entries — under the parallel floor, so no wrapper
 	// even with workers requested.

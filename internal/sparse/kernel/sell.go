@@ -15,8 +15,8 @@ const sellC = 8
 // into slices of 8, sorted by descending length within the slice, and
 // entries stored column-position-major so one pass over a slice advances
 // eight row accumulators together. Within a row, positions are visited in
-// ascending stored-column order — the baseline CSR order — so every mode
-// is bit-identical to Exact.
+// ascending stored-column order — the baseline CSR order — so results
+// are bit-identical to it.
 //
 // Only the full SpMV is served natively; ranged, column-windowed and
 // multi-RHS kernels delegate to the source CSR, whose row-addressed form

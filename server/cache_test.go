@@ -100,22 +100,31 @@ func TestCacheDisabledStillServes(t *testing.T) {
 	}
 }
 
+// TestStatsEndpoint: the registry size and result-cache counters are
+// served as /metrics series; the removed GET /v1/stats answers 404.
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	base := ts.URL + "/v1/graphs"
 	doJSON(t, "PUT", base+"/g", edgeListBody(), http.StatusCreated)
 	doJSON(t, "GET", base+"/g/query?seed=1", "", http.StatusOK)
 	doJSON(t, "GET", base+"/g/query?seed=1", "", http.StatusOK)
-	out := doJSON(t, "GET", ts.URL+"/v1/stats", "", http.StatusOK)
-	if out["graphs"].(float64) != 1 {
-		t.Fatalf("stats graphs = %v", out["graphs"])
+	body := scrape(t, ts.URL)
+	if got := metricValue(t, body, "bear_graphs"); got != 1 {
+		t.Fatalf("bear_graphs = %v", got)
 	}
-	cache := out["cache"].(map[string]interface{})
-	if cache["hits"].(float64) < 1 || cache["misses"].(float64) < 1 {
-		t.Fatalf("stats cache = %v", cache)
+	if metricValue(t, body, "bear_cache_hits_total") < 1 || metricValue(t, body, "bear_cache_misses_total") < 1 {
+		t.Fatalf("cache counters missing hits or misses:\n%s", body)
 	}
-	if cache["entries"].(float64) < 1 || cache["bytes"].(float64) <= 0 {
-		t.Fatalf("stats cache sizes = %v", cache)
+	if metricValue(t, body, "bear_cache_entries") < 1 || metricValue(t, body, "bear_cache_bytes") <= 0 {
+		t.Fatalf("cache size series empty:\n%s", body)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -123,8 +123,9 @@ func TestMetricsDisabled(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/healthz", "", http.StatusOK)
 }
 
-// TestStatsAgreesWithMetrics: /v1/stats is re-backed by the metric
-// registry, so its counters must equal the scraped series verbatim.
+// TestStatsAgreesWithMetrics: the bear_cache_* and bear_graphs series
+// read the live cache and registry, so they must equal the cache's own
+// counters and the registered graph count verbatim.
 func TestStatsAgreesWithMetrics(t *testing.T) {
 	s, ts := newTestServer(t)
 	base := ts.URL + "/v1/graphs"
@@ -134,19 +135,24 @@ func TestStatsAgreesWithMetrics(t *testing.T) {
 	}
 	doJSON(t, "GET", base+"/g/query?seed=2", "", http.StatusOK)
 
-	st := s.Stats()
+	st := s.resultCache().Stats()
+	s.mu.RLock()
+	graphs := len(s.graphs)
+	s.mu.RUnlock()
 	body := scrape(t, ts.URL)
-	for series, got := range map[string]uint64{
-		"bear_cache_hits_total":   st.Cache.Hits,
-		"bear_cache_misses_total": st.Cache.Misses,
+	for series, got := range map[string]float64{
+		"bear_cache_hits_total":   float64(st.Hits),
+		"bear_cache_misses_total": float64(st.Misses),
+		"bear_cache_entries":      float64(st.Entries),
+		"bear_cache_bytes":        float64(st.Bytes),
+		"bear_graphs":             float64(graphs),
 	} {
-		want := metricValue(t, body, series)
-		if float64(got) != want {
-			t.Errorf("%s: /v1/stats says %d, /metrics says %v", series, got, want)
+		if want := metricValue(t, body, series); got != want {
+			t.Errorf("%s: live value %v, /metrics says %v", series, got, want)
 		}
 	}
-	if got, want := float64(st.Graphs), metricValue(t, body, "bear_graphs"); got != want {
-		t.Errorf("graphs: /v1/stats says %v, /metrics says %v", got, want)
+	if st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("cache counted %d hits / %d misses, want 2/2", st.Hits, st.Misses)
 	}
 }
 
@@ -294,7 +300,8 @@ func TestSnapshotRestoreKeepsGraphSeries(t *testing.T) {
 
 // TestOrderingSelectionAndMetrics: the PUT ?ordering= override must be
 // reflected in the graph info and in the bear_ordering_selected gauge
-// family — exactly one engine at 1 per graph; an unknown name is a 400.
+// family — exactly one engine at 1 per graph; an unknown or deleted
+// engine name (nd) is a 400.
 func TestOrderingSelectionAndMetrics(t *testing.T) {
 	s := New()
 	s.DefaultOrdering = "" // slashburn
@@ -303,6 +310,7 @@ func TestOrderingSelectionAndMetrics(t *testing.T) {
 	doJSON(t, "PUT", base+"/md?ordering=mindeg", edgeListBody(), http.StatusCreated)
 	doJSON(t, "PUT", base+"/def", edgeListBody(), http.StatusCreated)
 	doJSON(t, "PUT", base+"/bad?ordering=no-such-engine", edgeListBody(), http.StatusBadRequest)
+	doJSON(t, "PUT", base+"/bad?ordering=nd", edgeListBody(), http.StatusBadRequest)
 
 	info := doJSON(t, "GET", base+"/md", "", http.StatusOK)
 	if got := info["ordering"]; got != "mindeg" {
@@ -322,6 +330,9 @@ func TestOrderingSelectionAndMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)
 		}
+	}
+	if strings.Contains(body, `ordering="nd"`) {
+		t.Error("scrape still carries a series for the deleted nd engine")
 	}
 	if strings.Contains(body, `graph="bad"`) {
 		t.Error("rejected PUT left metric series behind")
