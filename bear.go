@@ -137,12 +137,12 @@ func TopKCandidates(g *Graph, scores []float64, seed, k int) []int {
 }
 
 // TopKResult is the answer to Dynamic.QueryTopK / QueryTopKCtx — the
-// hybrid push+block-elimination top-k query whose node set is provably
-// identical to TopK over the full exact solve. Stats reports whether the
-// certified push bound pruned the exact solve.
+// block-pruned top-k query whose nodes, order and scores are identical to
+// TopK over the full exact solve. Stats reports how many spoke blocks the
+// solve skipped, or why the full solve ran instead.
 type TopKResult = core.TopKResult
 
-// TopKStats reports how a hybrid top-k query was answered.
+// TopKStats reports how a top-k query was answered.
 type TopKStats = core.TopKStats
 
 // SolveIterative computes the RWR vector with the classic power iteration

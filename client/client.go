@@ -467,17 +467,15 @@ func (c *Client) QueryBatch(ctx context.Context, name string, seeds []int, top i
 }
 
 // TopK returns the k highest-scoring nodes for seed through the server's
-// hybrid top-k path. The node set is identical to Query with top=k; pruned
-// reports whether local-push bounds certified the set without running the
-// exact solve (in which case scores are certified estimates, not exact).
-func (c *Client) TopK(ctx context.Context, name string, seed, k int) (results []server.ScoredNode, pruned bool, err error) {
+// block-pruned top-k path. Nodes and exact scores are identical to Query
+// with top=k.
+func (c *Client) TopK(ctx context.Context, name string, seed, k int) ([]server.ScoredNode, error) {
 	path := fmt.Sprintf("/v1/graphs/%s/topk?seed=%d&k=%d", url.PathEscape(name), seed, k)
 	var out struct {
 		Results []server.ScoredNode `json:"results"`
-		Pruned  bool                `json:"pruned"`
 	}
-	err = c.do(ctx, http.MethodGet, path, nil, true, &out)
-	return out.Results, out.Pruned, err
+	err := c.do(ctx, http.MethodGet, path, nil, true, &out)
+	return out.Results, err
 }
 
 // Candidates returns per-seed link-prediction candidates: for each seed,

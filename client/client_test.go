@@ -411,7 +411,7 @@ func TestClientTopKAndCandidates(t *testing.T) {
 		t.Fatalf("Upload: %v", err)
 	}
 
-	results, _, err := c.TopK(ctx, "g", 3, 5)
+	results, err := c.TopK(ctx, "g", 3, 5)
 	if err != nil {
 		t.Fatalf("TopK: %v", err)
 	}
@@ -454,7 +454,7 @@ func TestClientTopKAndCandidates(t *testing.T) {
 	if _, err := c.Candidates(ctx, "g", nil, 4); err == nil {
 		t.Fatal("empty candidates request accepted")
 	}
-	if _, _, err := c.TopK(ctx, "g", -1, 4); err == nil {
+	if _, err := c.TopK(ctx, "g", -1, 4); err == nil {
 		t.Fatal("negative seed accepted")
 	}
 }

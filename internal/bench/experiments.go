@@ -83,7 +83,7 @@ func Experiments() []Experiment {
 		{ID: "kernels", Paper: "kernel storage layouts: SpMV on the spoke-block factors (BENCH_kernels.json)", Run: RunKernels},
 		{ID: "rebuild", Paper: "rebuild paths: full vs incremental dirty-block surgery (BENCH_rebuild.json)", Run: RunRebuild},
 		{ID: "orderings", Paper: "ordering engines: slashburn vs mindeg four-way sweep (BENCH_orderings.json)", Run: RunOrderings},
-		{ID: "topk", Paper: "hybrid top-k: push-certified bounds vs full solve (BENCH_topk.json)", Run: RunTopK},
+		{ID: "topk", Paper: "top-k: block-pruned exact solve vs full solve (BENCH_topk.json)", Run: RunTopK},
 	}
 }
 

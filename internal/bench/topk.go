@@ -9,18 +9,16 @@ import (
 	"bear/internal/core"
 )
 
-// TopKResult is one measured (dataset, k) cell of the hybrid top-k sweep.
-// Speedup is the full-solve path's ns/query divided by the hybrid path's
-// ns/query on the same seeds — > 1 means the push-certified path is
-// faster. PrunedFrac is the fraction of seeds the push bound certified
-// without falling back to the exact block-restricted solve.
+// TopKResult is one measured (dataset, k) cell of the top-k sweep.
+// Speedup is the full-solve path's ns/query divided by the block-pruned
+// path's ns/query on the same seeds — > 1 means the block-pruned path is
+// faster.
 type TopKResult struct {
-	Dataset    string  `json:"dataset"`
-	K          int     `json:"k"`
-	HybridNs   float64 `json:"hybrid_ns_per_query"`
-	FullNs     float64 `json:"full_ns_per_query"`
-	Speedup    float64 `json:"speedup"`
-	PrunedFrac float64 `json:"pruned_frac"`
+	Dataset  string  `json:"dataset"`
+	K        int     `json:"k"`
+	HybridNs float64 `json:"hybrid_ns_per_query"`
+	FullNs   float64 `json:"full_ns_per_query"`
+	Speedup  float64 `json:"speedup"`
 }
 
 // TopKBaseline is one committed speedup floor from BENCH_topk.json; the
@@ -33,9 +31,9 @@ type TopKBaseline struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// topKSweepDatasets are the benchmark families the hybrid sweep runs on:
+// topKSweepDatasets are the benchmark families the top-k sweep runs on:
 // the paper ladder's small/medium members plus the hub-heavy email
-// analogue, where local push concentrates mass fastest.
+// analogue.
 var topKSweepDatasets = []string{"routing", "email", "web"}
 
 // topKSweepKs are the result sizes measured; 10 is the headline cell the
@@ -43,7 +41,7 @@ var topKSweepDatasets = []string{"routing", "email", "web"}
 var topKSweepKs = []int{1, 10, 100}
 
 // measureTopKSweep builds one Dynamic per dataset and times, for each k,
-// the hybrid QueryTopK path against the full-solve-then-rank path over
+// the block-pruned QueryTopK path against the full-solve-then-rank path over
 // the same random seeds. The two paths are interleaved round-robin —
 // whole passes over the seed set — and each reports its best round, the
 // same min-of-batches protocol minOfBatchesNs uses and for the same
@@ -69,8 +67,8 @@ func measureTopKSweep(cfg Config) ([]TopKResult, error) {
 			if k >= g.N() {
 				continue
 			}
-			// Warm both paths once so cache population (the normalized
-			// adjacency on the hybrid side) is not charged to round 1.
+			// Warm both paths once so lazy index state (the block bounds
+			// on the block-pruned side) is not charged to round 1.
 			if _, err := dyn.QueryTopK(seeds[0], k); err != nil {
 				return nil, fmt.Errorf("topk %s k=%d: %w", name, k, err)
 			}
@@ -78,23 +76,16 @@ func measureTopKSweep(cfg Config) ([]TopKResult, error) {
 				return nil, err
 			}
 			bestHybrid, bestFull := math.Inf(1), math.Inf(1)
-			pruned := 0
 			for b := 0; b < rounds; b++ {
 				start := time.Now()
-				roundPruned := 0
 				for _, seed := range seeds {
-					res, err := dyn.QueryTopK(seed, k)
-					if err != nil {
+					if _, err := dyn.QueryTopK(seed, k); err != nil {
 						return nil, fmt.Errorf("topk %s k=%d seed %d: %w", name, k, seed, err)
-					}
-					if res.Stats.Pruned {
-						roundPruned++
 					}
 				}
 				if ns := float64(time.Since(start).Nanoseconds()) / float64(len(seeds)); ns < bestHybrid {
 					bestHybrid = ns
 				}
-				pruned = roundPruned
 
 				start = time.Now()
 				for _, seed := range seeds {
@@ -111,15 +102,14 @@ func measureTopKSweep(cfg Config) ([]TopKResult, error) {
 			out = append(out, TopKResult{
 				Dataset: name, K: k,
 				HybridNs: bestHybrid, FullNs: bestFull,
-				Speedup:    bestFull / bestHybrid,
-				PrunedFrac: float64(pruned) / float64(len(seeds)),
+				Speedup: bestFull / bestHybrid,
 			})
 		}
 	}
 	return out, nil
 }
 
-// RunTopK compares the hybrid push-certified top-k path against the
+// RunTopK compares the block-pruned top-k path against the
 // full-solve-then-rank path (bearbench -exp topk). The committed headline
 // numbers live in BENCH_topk.json.
 func RunTopK(cfg Config) ([]*Table, error) {
@@ -128,19 +118,19 @@ func RunTopK(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		Title:   "Hybrid top-k: push-certified bounds vs full solve",
-		Note:    "interleaved min-of-5-rounds ns/query; pruned is the fraction of seeds certified without an exact solve",
-		Headers: []string{"dataset", "k", "hybrid ns/q", "full ns/q", "speedup", "pruned"},
+		Title:   "Top-k: block-pruned exact solve vs full solve",
+		Note:    "interleaved min-of-5-rounds ns/query",
+		Headers: []string{"dataset", "k", "hybrid ns/q", "full ns/q", "speedup"},
 	}
 	for _, r := range results {
 		t.AddRow(r.Dataset, r.K,
 			fmt.Sprintf("%.0f", r.HybridNs), fmt.Sprintf("%.0f", r.FullNs),
-			fmt.Sprintf("%.2fx", r.Speedup), fmt.Sprintf("%.0f%%", 100*r.PrunedFrac))
+			fmt.Sprintf("%.2fx", r.Speedup))
 	}
 	return []*Table{t}, nil
 }
 
-// CheckTopK re-measures the hybrid sweep and compares it against the
+// CheckTopK re-measures the top-k sweep and compares it against the
 // baselines committed in BENCH_topk.json (bearbench -exp topk -baseline
 // FILE): any (dataset, k) cell whose measured speedup falls below 80% of
 // its committed speedup fails the gate.

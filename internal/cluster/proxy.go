@@ -53,11 +53,12 @@ func (c *Cluster) Handler() http.Handler {
 	return mux
 }
 
-// handlePostOp splits POST-shaped requests: ppr and batch are reads that
-// happen to carry a body; edges and rebuild mutate replica state.
+// handlePostOp splits POST-shaped requests: ppr, batch and candidates are
+// reads that happen to carry a body; edges and rebuild mutate replica
+// state.
 func (c *Cluster) handlePostOp(w http.ResponseWriter, r *http.Request) {
 	switch r.PathValue("op") {
-	case "ppr", "batch":
+	case "ppr", "batch", "candidates":
 		c.handleRead(w, r)
 	default:
 		// edges, rebuild — and unknown ops, which every shard will reject

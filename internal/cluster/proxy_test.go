@@ -93,6 +93,24 @@ func TestProxyPutQueryEndToEnd(t *testing.T) {
 		t.Fatalf("X-Shard %q is not a placement replica of g", sh)
 	}
 
+	// POST reads answer from one replica, like GET reads: a single
+	// placement X-Shard and no mutation fan-out headers.
+	for _, op := range []struct{ path, body string }{
+		{"/v1/graphs/g/batch", `{"seeds":[0,1],"top":2}`},
+		{"/v1/graphs/g/candidates", `{"seeds":[0,1],"k":2}`},
+	} {
+		rec = doFront(c, http.MethodPost, op.path, op.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s through front: %d %s", op.path, rec.Code, rec.Body.String())
+		}
+		if sh := rec.Result().Header["X-Shard"]; len(sh) != 1 || !placement[sh[0]] {
+			t.Fatalf("POST %s: X-Shard %v, want one placement replica of g", op.path, sh)
+		}
+		if got := rec.Result().Header["X-Replica-Outcome"]; len(got) != 0 {
+			t.Fatalf("POST %s: read carries X-Replica-Outcome %v", op.path, got)
+		}
+	}
+
 	// The scatter list reports the replicated graph once.
 	rec = doFront(c, http.MethodGet, "/v1/graphs", "")
 	var list struct {

@@ -60,30 +60,6 @@ type Dynamic struct {
 	overlay  map[int]nodeRow
 	curCache *graph.Graph
 
-	// Row-normalized adjacency of the materialized current graph, used by
-	// the hybrid top-k push phase. Keyed by graph identity (normFor), so it
-	// needs no explicit invalidation: a graph-state change replaces
-	// curCache and the next lookup simply misses.
-	normFor *graph.Graph
-	norm    *sparse.CSR
-
-	// Reusable push engines for the hybrid top-k push phase. A Pusher
-	// carries O(N) state whose reset cost is proportional to the previous
-	// query's footprint, so reuse makes a failed certification attempt
-	// cost its pushes, not four fresh length-N allocations. Entries are
-	// keyed by the normalized matrix they were built over (pusherEntry.a)
-	// and dropped on mismatch, which retires them naturally after updates.
-	pushers sync.Pool
-
-	// pushStrikes counts consecutive hybrid top-k push attempts against
-	// the matrix pushStrikesFor that failed to certify. At topKPushStrikes
-	// the push phase is skipped outright for that matrix: on graphs whose
-	// structure defeats push certification, paying the probe tax on every
-	// query would erase the block-pruned solve's win. Any certification
-	// success or graph change resets the count.
-	pushStrikesFor *sparse.CSR
-	pushStrikes    int
-
 	dirty []int // nodes whose out-edges differ from base, sorted
 
 	// Woodbury cache, invalidated on every update.

@@ -310,25 +310,13 @@ func TopK(scores []float64, k int) []int {
 	return topKFiltered(scores, k, nil)
 }
 
-// topKFiltered is the candidate filter shared by TopK, TopKExcluding, and
-// TopKCandidates: indices for which skip returns true never enter the
-// heap, everything else ranks exactly as in TopK.
+// topKFiltered is the bounded min-heap behind every top-k selection
+// (TopK, TopKExcluding and TopKCandidates): indices for which skip returns
+// true never enter the heap. Candidates rank by descending score, ties by
+// ascending id, NaN ordered explicitly as the worst possible score.
 func topKFiltered(scores []float64, k int, skip func(int) bool) []int {
-	return topKOver(scores, k, nil, skip)
-}
-
-// topKOver is the bounded min-heap behind every top-k selection. ids
-// restricts the candidates to a subset of indices (nil means all of
-// scores); indices for which skip returns true never enter the heap.
-// Candidates rank by descending score, ties by ascending id, NaN ordered
-// explicitly as the worst possible score.
-func topKOver(scores []float64, k int, ids []int, skip func(int) bool) []int {
-	limit := len(scores)
-	if ids != nil {
-		limit = len(ids)
-	}
-	if k > limit {
-		k = limit
+	if k > len(scores) {
+		k = len(scores)
 	}
 	if k <= 0 {
 		return []int{}
@@ -382,17 +370,11 @@ func topKOver(scores []float64, k int, ids []int, skip func(int) bool) []int {
 			c = m
 		}
 	}
-	if ids != nil {
-		for _, i := range ids {
-			add(i)
+	for i := range scores {
+		if skip != nil && skip(i) {
+			continue
 		}
-	} else {
-		for i := range scores {
-			if skip != nil && skip(i) {
-				continue
-			}
-			add(i)
-		}
+		add(i)
 	}
 	sort.Slice(h, func(a, b int) bool { return worse(h[b], h[a]) })
 	return h

@@ -445,90 +445,3 @@ func TestLinSVDEmptyCrossEdges(t *testing.T) {
 		t.Fatalf("empty-A2 SVD path diff %g", d)
 	}
 }
-
-func TestLocalPushApproximatesExact(t *testing.T) {
-	g := testGraph()
-	want := exactRef(t, g, 0.05, 10)
-	s, err := LocalPush{}.Preprocess(g, Options{EpsB: 1e-7})
-	if err != nil {
-		t.Fatalf("preprocess: %v", err)
-	}
-	got := querySeed(t, s, g.N(), 10)
-	if cos := cosine(got, want); cos < 0.999 {
-		t.Fatalf("push cosine %g too low at tight threshold", cos)
-	}
-	// Push underestimates: p <= exact everywhere (residual mass missing).
-	for i := range got {
-		if got[i] > want[i]+1e-9 {
-			t.Fatalf("push overestimated node %d: %g > %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestLocalPushThresholdMonotone(t *testing.T) {
-	g := testGraph()
-	want := exactRef(t, g, 0.05, 10)
-	cosAt := func(eps float64) float64 {
-		s, err := LocalPush{}.Preprocess(g, Options{EpsB: eps})
-		if err != nil {
-			t.Fatalf("preprocess: %v", err)
-		}
-		return cosine(querySeed(t, s, g.N(), 10), want)
-	}
-	tight, loose := cosAt(1e-8), cosAt(1e-2)
-	if tight < loose-1e-9 {
-		t.Fatalf("tighter threshold worse: %g vs %g", tight, loose)
-	}
-}
-
-func TestLocalPushLocality(t *testing.T) {
-	// With a loose threshold, push must not touch nodes far from the seed.
-	b := graph.NewBuilder(1000)
-	for i := 0; i+1 < 1000; i++ {
-		b.AddUndirected(i, i+1, 1)
-	}
-	g := b.Build()
-	s, err := LocalPush{}.Preprocess(g, Options{EpsB: 1e-3})
-	if err != nil {
-		t.Fatalf("preprocess: %v", err)
-	}
-	scores := querySeed(t, s, g.N(), 0)
-	touched := 0
-	for _, v := range scores {
-		if v > 0 {
-			touched++
-		}
-	}
-	if touched > 100 {
-		t.Fatalf("push touched %d of 1000 nodes on a path graph", touched)
-	}
-	if scores[0] == 0 {
-		t.Fatal("seed not scored")
-	}
-}
-
-func TestLocalPushDanglingSeed(t *testing.T) {
-	b := graph.NewBuilder(3)
-	b.AddEdge(0, 1, 1) // node 2 has no edges at all; node 1 is dangling
-	g := b.Build()
-	s, err := LocalPush{}.Preprocess(g, Options{EpsB: 1e-9})
-	if err != nil {
-		t.Fatalf("preprocess: %v", err)
-	}
-	scores := querySeed(t, s, g.N(), 2)
-	if scores[2] <= 0 || scores[0] != 0 {
-		t.Fatalf("dangling seed scores %v", scores)
-	}
-}
-
-func TestLocalPushBudgetGuard(t *testing.T) {
-	g := testGraph()
-	s, err := LocalPush{}.Preprocess(g, Options{EpsB: 1e-12, MaxIters: 1})
-	if err != nil {
-		t.Fatalf("preprocess: %v", err)
-	}
-	// MaxIters·n pushes cannot drain a 1e-12 threshold on this graph.
-	if _, err := SeedQuery(s, g.N(), 0); err == nil {
-		t.Fatal("expected push-budget error")
-	}
-}

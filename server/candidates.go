@@ -1,8 +1,7 @@
 package server
 
-// The link-prediction workload: GET /topk answers hybrid top-k queries
-// (local-push bounds pruning the exact solve when they certify the set),
-// and POST /candidates ranks per-seed link-prediction candidates — top-k
+// The link-prediction workload: GET /topk answers top-k queries through
+// the block-pruned exact solve, and POST /candidates ranks per-seed link-prediction candidates — top-k
 // by RWR score excluding the seed and its existing out-neighbors — through
 // the result cache and the blocked multi-RHS batch solver.
 
@@ -19,12 +18,11 @@ import (
 	"bear/internal/resultcache"
 )
 
-// cachedTopK is one cached hybrid top-k answer. The stats that describe
-// *how* it was computed are cached along with it so hits report the same
-// pruned/fallback fields the original solve did.
+// cachedTopK is one cached top-k answer. The fallback reason that
+// describes *how* it was computed is cached along with it so hits report
+// the same field the original solve did.
 type cachedTopK struct {
 	results  []ScoredNode
-	pruned   bool
 	fallback string
 }
 
@@ -48,10 +46,10 @@ func parseK(r *http.Request, n int) (int, error) {
 }
 
 // handleTopK answers GET /v1/graphs/{name}/topk?seed=<id>&k=<count> with
-// the top-k nodes by exact RWR score. The solve is the hybrid path: the
-// node set is always identical to ranking the full exact solve, but when
-// the push bound certifies the set early the exact solve is skipped
-// entirely (response field "pruned", metric bear_topk_pruned_total).
+// the top-k nodes by exact RWR score. The solve is the block-pruned exact
+// path: nodes, order and scores are identical to ranking the full exact
+// solve, but spoke blocks that cannot reach rank k are never
+// back-substituted.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	e, ok := s.lookup(name)
@@ -96,14 +94,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			if res.Stats.Pruned {
-				s.metrics().topkPruned.Inc()
-			}
 			out := make([]ScoredNode, len(res.Nodes))
 			for i, node := range res.Nodes {
 				out[i] = ScoredNode{Node: node, Score: res.Scores[i]}
 			}
-			c := &cachedTopK{results: out, pruned: res.Stats.Pruned, fallback: res.Stats.Fallback}
+			c := &cachedTopK{results: out, fallback: res.Stats.Fallback}
 			cache.Put(key, c)
 			return c, nil
 		})
@@ -117,14 +112,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	res := v.(*cachedTopK)
-	s.logSlow("topk", name, fmt.Sprintf("seed=%d k=%d pruned=%v", seed, k, res.pruned),
+	s.logSlow("topk", name, fmt.Sprintf("seed=%d k=%d", seed, k),
 		status, time.Since(start), tr)
 	w.Header().Set("X-Cache", status)
 	resp := map[string]interface{}{
 		"graph":   name,
 		"seed":    seed,
 		"k":       k,
-		"pruned":  res.pruned,
 		"results": res.results,
 	}
 	if res.fallback != "" {

@@ -46,8 +46,8 @@ func TestTopKEndpoint(t *testing.T) {
 				t.Fatalf("seed %d: exact top-5 node %d missing from %v", seed, node, gotSet)
 			}
 		}
-		if _, ok := out["pruned"].(bool); !ok {
-			t.Fatalf("seed %d: response has no boolean pruned field: %v", seed, out)
+		if _, ok := out["pruned"]; ok {
+			t.Fatalf("seed %d: response still carries the removed pruned field: %v", seed, out)
 		}
 	}
 }
@@ -196,8 +196,5 @@ func TestTopKMetricCounts(t *testing.T) {
 	body := scrape(t, ts.URL)
 	if !strings.Contains(body, "bear_candidates_requests_total 1") {
 		t.Errorf("metrics missing bear_candidates_requests_total 1")
-	}
-	if !strings.Contains(body, "bear_topk_pruned_total") {
-		t.Errorf("metrics missing bear_topk_pruned_total series")
 	}
 }
