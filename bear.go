@@ -98,6 +98,11 @@ var ErrNoRetainedH = core.ErrNoRetainedH
 // NewGraphBuilder returns a builder for a graph with n nodes.
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
+// LoadGraph reads a graph in either supported format: input that starts
+// with the "%%MatrixMarket" banner parses as MatrixMarket, anything else
+// as an edge list. Input with no bytes at all is an error.
+func LoadGraph(r io.Reader) (*Graph, error) { return graph.Load(r) }
+
 // LoadEdgeList parses a whitespace-separated "u v [weight]" edge list with
 // '#' comments, the format used by SNAP datasets.
 func LoadEdgeList(r io.Reader) (*Graph, error) { return graph.LoadEdgeList(r) }

@@ -70,12 +70,7 @@ func cmdPreprocess(args []string) error {
 	if *graphPath == "" || *out == "" {
 		return fmt.Errorf("preprocess: -graph and -out are required")
 	}
-	f, err := os.Open(*graphPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	g, err := loadGraph(f)
+	g, err := readGraph(*graphPath)
 	if err != nil {
 		return err
 	}
@@ -98,15 +93,14 @@ func cmdPreprocess(args []string) error {
 	return nil
 }
 
-// loadGraph sniffs the input format: MatrixMarket files start with a
-// "%%MatrixMarket" banner, everything else parses as a plain edge list.
-func loadGraph(r io.Reader) (*bear.Graph, error) {
-	br := bufio.NewReader(r)
-	head, _ := br.Peek(len("%%MatrixMarket"))
-	if strings.EqualFold(string(head), "%%MatrixMarket") {
-		return bear.LoadMatrixMarket(br)
+// readGraph loads the graph file at path in either supported format.
+func readGraph(path string) (*bear.Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return bear.LoadEdgeList(br)
+	defer f.Close()
+	return bear.LoadGraph(f)
 }
 
 func loadIndex(path string) (*bear.Precomputed, error) {
@@ -212,12 +206,7 @@ func cmdCandidates(args []string) error {
 	if *k <= 0 {
 		return fmt.Errorf("candidates: -k must be positive")
 	}
-	f, err := os.Open(*graphPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	g, err := loadGraph(f)
+	g, err := readGraph(*graphPath)
 	if err != nil {
 		return err
 	}
@@ -319,12 +308,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*graphPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	g, err := loadGraph(f)
+	g, err := readGraph(*graphPath)
 	if err != nil {
 		return err
 	}

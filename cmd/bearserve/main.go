@@ -153,12 +153,7 @@ func loadInto(s *server.Server, name, path string, opts bear.Options) error {
 		return err
 	}
 	defer f.Close()
-	var g *bear.Graph
-	if strings.HasSuffix(path, ".mtx") {
-		g, err = bear.LoadMatrixMarket(f)
-	} else {
-		g, err = bear.LoadEdgeList(f)
-	}
+	g, err := bear.LoadGraph(f)
 	if err != nil {
 		return err
 	}

@@ -1,36 +1,24 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
+	"bear/internal/frame"
 	"bear/internal/graph"
 	"bear/internal/ordering"
 )
 
-// dynMagic identifies a serialized Dynamic: preprocessing options, base
+// Dynamic-state files are frame kind "DY": preprocessing options, base
 // graph, precomputed matrices, and — if updates are pending — the current
-// graph and dirty set. The file carries the same length/CRC32 footer as
-// the v2 precomputed format, so a truncated or bit-flipped snapshot is
-// rejected instead of restoring silent garbage.
-var dynMagic = [8]byte{'B', 'E', 'A', 'R', 'D', 'Y', '0', '1'}
-
-// dynMagic2 identifies version 2 of the dynamic-state format: version 1
-// plus the KeepH option flag and the retained exact H (when present) in
-// the embedded precomputed payload. States that carry neither are still
-// written as version 1, byte-identical to before.
-var dynMagic2 = [8]byte{'B', 'E', 'A', 'R', 'D', 'Y', '0', '2'}
-
-// dynMagic3 identifies version 3 of the dynamic-state format: version 2
-// with the KeepH and with-H flags always explicit, followed by the name
-// of the ordering engine that produced the index, so a restored Dynamic
-// rebuilds with the same engine. States ordered by the default SlashBurn
-// are still written as version 1 or 2, byte-identical to before; versions
-// 1 and 2 restore as slashburn.
-var dynMagic3 = [8]byte{'B', 'E', 'A', 'R', 'D', 'Y', '0', '3'}
+// graph and dirty set. Version 3 is the only one written; it stores the
+// KeepH flag, a flag marking the payload's H section (always set when
+// written) and the ordering engine's name, so a restored Dynamic rebuilds
+// with the same engine. Older files still load: version 1 has none of the
+// three fields and no H section, version 2 adds KeepH and the H section,
+// and both restore as slashburn, which produced every index they hold.
+const dyKind, dyVersion = "DY", 3
 
 // SaveState serializes the full dynamic-serving state: a restored Dynamic
 // answers every query bit-identically to this one, including the exact
@@ -47,21 +35,7 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 	cur := d.materializeLocked()
 	d.mu.Unlock()
 
-	withH := opts.KeepH || p.H != nil
-	// Version 3 exists only to carry a non-default ordering name; indexes
-	// ordered by SlashBurn keep writing the older formats byte-identically.
-	v3 := ordering.Normalize(opts.Ordering) != ordering.Default
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	e := &encoder{w: cw}
-	switch {
-	case v3:
-		e.bytes(dynMagic3[:])
-	case withH:
-		e.bytes(dynMagic2[:])
-	default:
-		e.bytes(dynMagic[:])
-	}
+	e := encoder{frame.NewWriter(w, dyKind, dyVersion)}
 	e.f64(opts.C)
 	e.f64(opts.DropTol)
 	e.f64(opts.HubRatio)
@@ -70,15 +44,11 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 	e.i64(int64(opts.Workers))
 	e.bool(opts.Laplacian)
 	e.bool(opts.NoHubOrder)
-	if v3 {
-		e.bool(opts.KeepH)
-		e.bool(withH)
-		e.str(ordering.Normalize(opts.Ordering))
-	} else if withH {
-		e.bool(opts.KeepH)
-	}
+	e.bool(opts.KeepH)
+	e.bool(true) // the payload carries the H section
+	e.str(ordering.Normalize(opts.Ordering))
 	encodeGraph(e, base)
-	p.encodePayload(e, withH)
+	p.encodePayload(e)
 	e.ints(dirty)
 	if len(dirty) == 0 {
 		e.bool(false) // cur == base; don't store the graph twice
@@ -86,16 +56,10 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 		e.bool(true)
 		encodeGraph(e, cur)
 	}
-	if e.err != nil {
-		return fmt.Errorf("core: saving dynamic state: %w", e.err)
-	}
-	var foot [footerLen]byte
-	binary.LittleEndian.PutUint64(foot[:8], uint64(cw.n))
-	binary.LittleEndian.PutUint32(foot[8:], cw.sum)
-	if _, err := bw.Write(foot[:]); err != nil {
+	if err := e.Close(); err != nil {
 		return fmt.Errorf("core: saving dynamic state: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // LoadDynamic reads state previously written by SaveState, verifying the
@@ -103,18 +67,12 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 // or inconsistent contents — it returns nil and the error; it never
 // returns a partially populated Dynamic.
 func LoadDynamic(r io.Reader) (*Dynamic, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-	d := &decoder{r: cr}
-	var got [8]byte
-	d.bytes(got[:])
-	if d.err != nil {
-		return nil, fmt.Errorf("core: loading dynamic state: %w", d.err)
+	fr := frame.NewReader(r)
+	v, err := fr.Version(dyKind, dyVersion)
+	if err != nil {
+		return nil, fmt.Errorf("core: loading dynamic state: %w", err)
 	}
-	if got != dynMagic && got != dynMagic2 && got != dynMagic3 {
-		return nil, fmt.Errorf("core: bad magic %q; not a BEAR dynamic-state file", got[:])
-	}
-	v3 := got == dynMagic3
-	withH := got == dynMagic2
+	d := &decoder{r: fr}
 	var opts Options
 	opts.C = d.f64()
 	opts.DropTol = d.f64()
@@ -124,12 +82,13 @@ func LoadDynamic(r io.Reader) (*Dynamic, error) {
 	opts.Workers = int(d.i64())
 	opts.Laplacian = d.bool()
 	opts.NoHubOrder = d.bool()
-	switch {
-	case v3:
+	withH := v >= 2
+	opts.Ordering = ordering.Default
+	if v >= 2 {
 		opts.KeepH = d.bool()
+	}
+	if v >= 3 {
 		withH = d.bool()
-		// Versions 1 and 2 predate pluggable orderings: their indexes were
-		// produced by SlashBurn and opts.Ordering stays "", which selects it.
 		opts.Ordering = d.str()
 		if d.err == nil {
 			if _, err := ordering.Get(opts.Ordering); err != nil {
@@ -139,8 +98,6 @@ func LoadDynamic(r io.Reader) (*Dynamic, error) {
 				return nil, fmt.Errorf("core: loading dynamic state: %w", err)
 			}
 		}
-	case withH:
-		opts.KeepH = d.bool()
 	}
 	base := decodeGraph(d)
 	if d.err != nil {
@@ -158,8 +115,8 @@ func LoadDynamic(r io.Reader) (*Dynamic, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("core: loading dynamic state: %w", d.err)
 	}
-	if err := cr.checkFooter(); err != nil {
-		return nil, err
+	if err := fr.CheckFooter(); err != nil {
+		return nil, fmt.Errorf("core: loading dynamic state: %w", err)
 	}
 	return RestoreDynamic(base, cur, p, dirty, opts)
 }
@@ -215,7 +172,7 @@ func RestoreDynamic(base, cur *graph.Graph, p *Precomputed, dirty []int, opts Op
 
 // encodeGraph writes a graph exactly: node count, then the destination and
 // weight slices of each node's out-edges. Weights round-trip bit-for-bit.
-func encodeGraph(e *encoder, g *graph.Graph) {
+func encodeGraph(e encoder, g *graph.Graph) {
 	n := g.N()
 	e.i64(int64(n))
 	for u := 0; u < n; u++ {

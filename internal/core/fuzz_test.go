@@ -31,6 +31,9 @@ func FuzzLoad(f *testing.F) {
 		c[at] ^= 0xff
 		f.Add(c)
 	}
+	for _, legacy := range legacyFixtures(f, "pc*.bear") {
+		f.Add(legacy)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -70,6 +73,9 @@ func FuzzLoadDynamic(f *testing.F) {
 		c := append([]byte(nil), valid...)
 		c[at] ^= 0xff
 		f.Add(c)
+	}
+	for _, legacy := range legacyFixtures(f, "dy*.bear") {
+		f.Add(legacy)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := LoadDynamic(bytes.NewReader(data))

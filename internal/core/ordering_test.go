@@ -105,16 +105,17 @@ func TestIncrementalRebuildAllOrderings(t *testing.T) {
 	}
 }
 
-// TestSnapshotOrderingRoundTrip: selecting a non-default engine switches
-// the snapshot to the v3 format, which must restore the ordering name
-// and answer queries bit-identically.
+// TestSnapshotOrderingRoundTrip: every engine's snapshot is written as
+// BEARDY03 and restores the normalized ordering name — the default engine
+// left unset comes back as "slashburn" — with bit-identical queries.
 func TestSnapshotOrderingRoundTrip(t *testing.T) {
 	for _, eng := range ordering.Names() {
-		if eng == ordering.Default {
-			continue
-		}
 		t.Run(eng, func(t *testing.T) {
-			d, err := NewDynamic(gen.RMAT(gen.NewRMATPul(150, 900, 0.7, 25)), Options{K: 2, Ordering: eng})
+			opts := Options{K: 2, Ordering: eng}
+			if eng == ordering.Default {
+				opts.Ordering = ""
+			}
+			d, err := NewDynamic(gen.RMAT(gen.NewRMATPul(150, 900, 0.7, 25)), opts)
 			if err != nil {
 				t.Fatalf("NewDynamic: %v", err)
 			}
@@ -125,8 +126,8 @@ func TestSnapshotOrderingRoundTrip(t *testing.T) {
 			if err := d.SaveState(&buf); err != nil {
 				t.Fatalf("SaveState: %v", err)
 			}
-			if got := buf.String()[:8]; got != string(dynMagic3[:]) {
-				t.Fatalf("non-default ordering saved with magic %q, want %q", got, dynMagic3)
+			if got := buf.String()[:8]; got != "BEARDY03" {
+				t.Fatalf("saved with magic %q, want BEARDY03", got)
 			}
 			d2, err := LoadDynamic(strings.NewReader(buf.String()))
 			if err != nil {
@@ -149,31 +150,6 @@ func TestSnapshotOrderingRoundTrip(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSnapshotDefaultOrderingKeepsOldFormat: default-ordering snapshots
-// must stay byte-compatible with the pre-ordering-engine formats so old
-// readers and committed fixtures keep working; old files restore with
-// the ordering unset (= SlashBurn).
-func TestSnapshotDefaultOrderingKeepsOldFormat(t *testing.T) {
-	d, err := NewDynamic(gen.ErdosRenyi(60, 300, 26), Options{K: 2})
-	if err != nil {
-		t.Fatalf("NewDynamic: %v", err)
-	}
-	var buf strings.Builder
-	if err := d.SaveState(&buf); err != nil {
-		t.Fatalf("SaveState: %v", err)
-	}
-	if got := buf.String()[:8]; got == string(dynMagic3[:]) {
-		t.Fatal("default ordering saved in the v3 format; old readers would refuse it")
-	}
-	d2, err := LoadDynamic(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("LoadDynamic: %v", err)
-	}
-	if got := d2.Options().Ordering; got != "" {
-		t.Fatalf("default-format restore set Ordering = %q, want empty (SlashBurn)", got)
 	}
 }
 

@@ -269,8 +269,7 @@ func TestRefineRequiresKeepH(t *testing.T) {
 }
 
 // TestSaveLoadRetainsH: the precompute format round-trips the retained H
-// bit-for-bit (v3), while H-less states keep writing the v2 format so old
-// readers stay compatible.
+// bit-for-bit, and indexes with and without H are both written as v3.
 func TestSaveLoadRetainsH(t *testing.T) {
 	g := gen.BarabasiAlbert(120, 2, 9)
 	p, err := Preprocess(g, Options{K: 2, DropTol: 1e-3, KeepH: true})
@@ -317,7 +316,7 @@ func TestSaveLoadRetainsH(t *testing.T) {
 		t.Fatalf("loaded state refines differently: sweeps %d vs %d, diff %g", s1.Sweeps, s2.Sweeps, maxAbsDiff(x1, x2))
 	}
 
-	// Without H the format stays v2, byte-compatible with old readers.
+	// Without H the format is v3 too; its H section is an unset flag.
 	pNoH, err := Preprocess(g, Options{K: 2})
 	if err != nil {
 		t.Fatalf("Preprocess no-H: %v", err)
@@ -326,14 +325,16 @@ func TestSaveLoadRetainsH(t *testing.T) {
 	if err := pNoH.Save(&buf2); err != nil {
 		t.Fatalf("Save no-H: %v", err)
 	}
-	if got := string(buf2.Bytes()[:8]); got != "BEARPC02" {
-		t.Fatalf("magic %q, want BEARPC02 when H is absent", got)
+	if got := string(buf2.Bytes()[:8]); got != "BEARPC03" {
+		t.Fatalf("magic %q, want BEARPC03 when H is absent", got)
+	}
+	if p2, err := Load(&buf2); err != nil || p2.H != nil {
+		t.Fatalf("H-less v3 file: Load err %v, H present %v", err, p2 != nil && p2.H != nil)
 	}
 }
 
 // TestDynStateRetainsH: the dynamic-state snapshot round-trips KeepH and
-// the retained H (v2 dynamic format), and H-less dynamics keep the v1
-// format.
+// the retained H, and dynamics with and without H are both written as v3.
 func TestDynStateRetainsH(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 2, 13)
 	d, err := NewDynamic(g, Options{K: 2, DropTol: 1e-3, KeepH: true})
@@ -347,8 +348,8 @@ func TestDynStateRetainsH(t *testing.T) {
 	if err := d.SaveState(&buf); err != nil {
 		t.Fatalf("SaveState: %v", err)
 	}
-	if got := string(buf.Bytes()[:8]); got != "BEARDY02" {
-		t.Fatalf("magic %q, want BEARDY02 with KeepH", got)
+	if got := string(buf.Bytes()[:8]); got != "BEARDY03" {
+		t.Fatalf("magic %q, want BEARDY03 with KeepH", got)
 	}
 	d2, err := LoadDynamic(&buf)
 	if err != nil {
@@ -372,8 +373,15 @@ func TestDynStateRetainsH(t *testing.T) {
 	if err := dNoH.SaveState(&buf2); err != nil {
 		t.Fatalf("SaveState no-H: %v", err)
 	}
-	if got := string(buf2.Bytes()[:8]); got != "BEARDY01" {
-		t.Fatalf("magic %q, want BEARDY01 without KeepH", got)
+	if got := string(buf2.Bytes()[:8]); got != "BEARDY03" {
+		t.Fatalf("magic %q, want BEARDY03 without KeepH", got)
+	}
+	d3, err := LoadDynamic(&buf2)
+	if err != nil {
+		t.Fatalf("LoadDynamic no-H: %v", err)
+	}
+	if d3.Options().KeepH || d3.Precomputed().H != nil {
+		t.Fatal("H-less state restored with KeepH or a retained H")
 	}
 }
 

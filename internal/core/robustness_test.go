@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bear/internal/fault"
+	"bear/internal/frame"
 	"bear/internal/graph/gen"
 )
 
@@ -343,10 +344,10 @@ func TestLoadRejectsEveryByteFlip(t *testing.T) {
 	for off := int64(0); off < 64 && off < int64(len(valid)); off++ {
 		offsets = append(offsets, off)
 	}
-	for off := int64(64); off < int64(len(valid))-footerLen; off += 97 {
+	for off := int64(64); off < int64(len(valid))-frame.FooterLen; off += 97 {
 		offsets = append(offsets, off)
 	}
-	for off := int64(len(valid)) - footerLen; off < int64(len(valid)); off++ {
+	for off := int64(len(valid)) - frame.FooterLen; off < int64(len(valid)); off++ {
 		offsets = append(offsets, off)
 	}
 	for _, off := range offsets {
@@ -382,32 +383,6 @@ func TestLoadRejectsEveryTruncation(t *testing.T) {
 	// Including one byte short of complete.
 	if _, err := Load(bytes.NewReader(valid[:len(valid)-1])); err == nil {
 		t.Fatal("truncation by one byte accepted")
-	}
-}
-
-// TestLoadLegacyV1 keeps the pre-CRC format readable: a payload behind the
-// old magic still loads (it simply gets no integrity check).
-func TestLoadLegacyV1(t *testing.T) {
-	g := gen.ErdosRenyi(40, 160, 21)
-	p, err := Preprocess(g, Options{K: 1})
-	if err != nil {
-		t.Fatalf("Preprocess: %v", err)
-	}
-	var buf bytes.Buffer
-	e := &encoder{w: &buf}
-	e.bytes(magic[:])
-	p.encodePayload(e, false)
-	if e.err != nil {
-		t.Fatalf("encoding v1 file: %v", e.err)
-	}
-	p2, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("loading v1 file: %v", err)
-	}
-	a, _ := p.Query(0)
-	b, _ := p2.Query(0)
-	if diff := maxAbsDiff(a, b); diff != 0 {
-		t.Fatalf("v1 roundtrip differs by %g", diff)
 	}
 }
 

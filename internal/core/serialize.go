@@ -1,69 +1,37 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"bear/internal/frame"
 	"bear/internal/sparse"
 )
 
-// magic identifies the BEAR precomputed-matrix file format, version 1:
-// payload only, no integrity footer. Still readable, never written.
-var magic = [8]byte{'B', 'E', 'A', 'R', 'P', 'C', '0', '1'}
+// Precomputed-index files are frame kind "PC". Version 3 is the only one
+// written: the payload (encodePayload) ends with a flag for the retained
+// exact H (Options.KeepH) and, when set, H itself. Older files still load:
+// version 1 is the same payload without the H section and without the
+// integrity footer; version 2 adds the footer.
+const pcKind, pcVersion = "PC", 3
 
-// magic2 identifies version 2 of the format: the same payload followed by
-// an integrity footer — the byte length of everything before the footer
-// (8 bytes, little endian) and the IEEE CRC32 of those same bytes (4
-// bytes) — so truncated or bit-flipped files are rejected loudly instead
-// of deserializing into silent garbage.
-var magic2 = [8]byte{'B', 'E', 'A', 'R', 'P', 'C', '0', '2'}
-
-// magic3 identifies version 3 of the format: the v2 payload followed by an
-// extension section that carries the retained exact H (Options.KeepH), then
-// the same integrity footer. Files without a retained H are still written
-// as v2, byte-identical to before, so v3 appears only when there is
-// genuinely more to store.
-var magic3 = [8]byte{'B', 'E', 'A', 'R', 'P', 'C', '0', '3'}
-
-// footerLen is the size of the v2/v3 integrity footer.
-const footerLen = 12
-
-// Save writes the precomputed matrices in a compact binary format
-// (CRC-protected; version 3 when a retained H must be carried, version 2
-// otherwise) so that the preprocessing phase can be paid once and reused
+// Save writes the precomputed matrices in a compact, CRC-protected binary
+// format so that the preprocessing phase can be paid once and reused
 // across processes.
 func (p *Precomputed) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	e := &encoder{w: cw}
-	if p.H != nil {
-		e.bytes(magic3[:])
-	} else {
-		e.bytes(magic2[:])
-	}
-	p.encodePayload(e, p.H != nil)
-	if e.err != nil {
-		return fmt.Errorf("core: saving precomputed matrices: %w", e.err)
-	}
-	var foot [footerLen]byte
-	binary.LittleEndian.PutUint64(foot[:8], uint64(cw.n))
-	binary.LittleEndian.PutUint32(foot[8:], cw.sum)
-	if _, err := bw.Write(foot[:]); err != nil {
+	e := encoder{frame.NewWriter(w, pcKind, pcVersion)}
+	p.encodePayload(e)
+	if err := e.Close(); err != nil {
 		return fmt.Errorf("core: saving precomputed matrices: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // encodePayload writes every serialized field (everything after the magic,
-// before the footer). Shared by Save and the Dynamic state snapshot. withH
-// appends the v3 extension section — a presence flag and, when set, the
-// retained exact H; with withH false the output is byte-identical to the
-// v2 payload.
-func (p *Precomputed) encodePayload(e *encoder, withH bool) {
+// before the footer). Shared by Save and the Dynamic state snapshot.
+func (p *Precomputed) encodePayload(e encoder) {
 	e.i64(int64(p.N))
 	e.i64(int64(p.N1))
 	e.i64(int64(p.N2))
@@ -76,16 +44,15 @@ func (p *Precomputed) encodePayload(e *encoder, withH bool) {
 	for _, m := range []*sparse.CSR{p.L1Inv, p.U1Inv, p.H12, p.H21, p.L2Inv, p.U2Inv} {
 		e.csr(m)
 	}
-	if withH {
-		e.bool(p.H != nil)
-		if p.H != nil {
-			e.csr(p.H)
-		}
+	e.bool(p.H != nil)
+	if p.H != nil {
+		e.csr(p.H)
 	}
 }
 
 // decodePayload is the inverse of encodePayload: it decodes, validates,
-// and derives. Any error yields a nil Precomputed — never a partially
+// and derives. withH is false only for legacy payloads that predate the H
+// section. Any error yields a nil Precomputed — never a partially
 // populated one.
 func decodePayload(d *decoder, withH bool) (*Precomputed, error) {
 	p := &Precomputed{}
@@ -126,78 +93,24 @@ func decodePayload(d *decoder, withH bool) (*Precomputed, error) {
 	return p, nil
 }
 
-// Load reads matrices previously written by Save. Version-2 files are
-// verified against their length/CRC32 footer; legacy version-1 files are
-// accepted without an integrity check.
+// Load reads matrices previously written by Save, verifying the integrity
+// footer (legacy version-1 files have none and load unchecked).
 func Load(r io.Reader) (*Precomputed, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-	d := &decoder{r: cr}
-	var got [8]byte
-	d.bytes(got[:])
-	if d.err != nil {
-		return nil, fmt.Errorf("core: loading precomputed matrices: %w", d.err)
+	fr := frame.NewReader(r)
+	v, err := fr.Version(pcKind, pcVersion)
+	if err != nil {
+		return nil, fmt.Errorf("core: loading precomputed matrices: %w", err)
 	}
-	switch got {
-	case magic: // legacy v1: no footer
-		return decodePayload(d, false)
-	case magic2, magic3:
-		p, err := decodePayload(d, got == magic3)
-		if err != nil {
-			return nil, err
+	p, err := decodePayload(&decoder{r: fr}, v >= 3)
+	if err != nil {
+		return nil, err
+	}
+	if v >= 2 {
+		if err := fr.CheckFooter(); err != nil {
+			return nil, fmt.Errorf("core: loading precomputed matrices: %w", err)
 		}
-		if err := cr.checkFooter(); err != nil {
-			return nil, err
-		}
-		return p, nil
-	default:
-		return nil, fmt.Errorf("core: bad magic %q; not a BEAR precomputed file", got[:])
 	}
-}
-
-// crcWriter counts and checksums everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	n   int64
-	sum uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-	c.n += int64(n)
-	return n, err
-}
-
-// crcReader counts and checksums everything read through it.
-type crcReader struct {
-	r   io.Reader
-	n   int64
-	sum uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-	c.n += int64(n)
-	return n, err
-}
-
-// checkFooter reads the 12-byte integrity footer from the underlying
-// reader (not through the checksum) and verifies it against the bytes
-// consumed so far.
-func (c *crcReader) checkFooter() error {
-	wantN, wantSum := c.n, c.sum
-	var foot [footerLen]byte
-	if _, err := io.ReadFull(c.r, foot[:]); err != nil {
-		return fmt.Errorf("core: truncated file: missing integrity footer: %w", err)
-	}
-	if gotN := int64(binary.LittleEndian.Uint64(foot[:8])); gotN != wantN {
-		return fmt.Errorf("core: corrupt file: footer records %d payload bytes, read %d", gotN, wantN)
-	}
-	if gotSum := binary.LittleEndian.Uint32(foot[8:]); gotSum != wantSum {
-		return fmt.Errorf("core: corrupt file: CRC32 mismatch (stored %08x, computed %08x)", gotSum, wantSum)
-	}
-	return nil
+	return p, nil
 }
 
 func (p *Precomputed) validate() error {
@@ -279,27 +192,15 @@ func (p *Precomputed) validate() error {
 	return nil
 }
 
-type encoder struct {
-	w   io.Writer
-	err error
-	buf [8]byte
-}
+// encoder writes fields through a frame.Writer, whose first error is
+// sticky and surfaces from Close.
+type encoder struct{ *frame.Writer }
 
-func (e *encoder) bytes(b []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(b)
-}
+func (e encoder) i64(v int64) { e.U64(uint64(v)) }
 
-func (e *encoder) i64(v int64) {
-	binary.LittleEndian.PutUint64(e.buf[:], uint64(v))
-	e.bytes(e.buf[:])
-}
+func (e encoder) f64(v float64) { e.i64(int64(math.Float64bits(v))) }
 
-func (e *encoder) f64(v float64) { e.i64(int64(math.Float64bits(v))) }
-
-func (e *encoder) bool(v bool) {
+func (e encoder) bool(v bool) {
 	if v {
 		e.i64(1)
 	} else {
@@ -307,26 +208,26 @@ func (e *encoder) bool(v bool) {
 	}
 }
 
-func (e *encoder) str(s string) {
+func (e encoder) str(s string) {
 	e.i64(int64(len(s)))
-	e.bytes([]byte(s))
+	io.WriteString(e, s)
 }
 
-func (e *encoder) ints(v []int) {
+func (e encoder) ints(v []int) {
 	e.i64(int64(len(v)))
 	for _, x := range v {
 		e.i64(int64(x))
 	}
 }
 
-func (e *encoder) floats(v []float64) {
+func (e encoder) floats(v []float64) {
 	e.i64(int64(len(v)))
 	for _, x := range v {
 		e.f64(x)
 	}
 }
 
-func (e *encoder) csr(m *sparse.CSR) {
+func (e encoder) csr(m *sparse.CSR) {
 	e.i64(int64(m.R))
 	e.i64(int64(m.C))
 	e.ints(m.RowPtr)

@@ -2,11 +2,36 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
+
+// ErrEmptyInput is returned by Load for input with no bytes at all.
+var ErrEmptyInput = errors.New("graph: empty input")
+
+// Load reads a graph in either supported format: input that starts with
+// the "%%MatrixMarket" banner (in any case) parses as MatrixMarket,
+// anything else as an edge list.
+func Load(r io.Reader) (*Graph, error) {
+	const banner = "%%MatrixMarket"
+	br := bufio.NewReader(r)
+	head, err := br.Peek(len(banner))
+	if len(head) == 0 {
+		// A short-but-valid input yields head bytes alongside io.EOF; no
+		// bytes at all means the input is empty or the read failed outright.
+		if err == io.EOF {
+			return nil, ErrEmptyInput
+		}
+		return nil, fmt.Errorf("graph: reading input: %w", err)
+	}
+	if strings.EqualFold(string(head), banner) {
+		return LoadMatrixMarket(br)
+	}
+	return LoadEdgeList(br)
+}
 
 // LoadEdgeList parses a whitespace-separated edge list: one "u v [weight]"
 // per line, '#' or '%' starting a comment line. Node ids must be

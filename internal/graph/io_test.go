@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,6 +55,22 @@ func TestLoadEdgeListEmpty(t *testing.T) {
 	}
 	if g.N() != 0 || g.M() != 0 {
 		t.Fatalf("empty input gave n=%d m=%d", g.N(), g.M())
+	}
+}
+
+func TestLoadSniffsFormat(t *testing.T) {
+	if _, err := Load(strings.NewReader("")); !errors.Is(err, ErrEmptyInput) {
+		t.Fatalf("empty input: err = %v, want ErrEmptyInput", err)
+	}
+	for in, wantN := range map[string]int{
+		"%%matrixmarket matrix coordinate pattern general\n4 4 1\n1 4\n": 4,
+		"0 1\n1 2\n": 3,
+		"0 5":        6,
+	} {
+		g, err := Load(strings.NewReader(in))
+		if err != nil || g.N() != wantN {
+			t.Fatalf("Load(%q): n=%v err=%v, want n=%d", in, g, err, wantN)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -356,8 +357,18 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 
+	// Every byte of the magic, the graph count and the first entry's header
+	// (name length, name, creation time, blob length), then a stride
+	// through the rest.
+	header := 24 + int(binary.LittleEndian.Uint64(valid[16:24])) + 16
 	step := 1 + len(valid)/97
-	for off := 0; off < len(valid); off += step {
+	next := func(off int) int {
+		if off < header {
+			return off + 1
+		}
+		return off + step
+	}
+	for off := 0; off < len(valid); off = next(off) {
 		fresh := New()
 		if err := fresh.ReadSnapshot(bytes.NewReader(fault.Flip(valid, int64(off), 0))); err == nil {
 			t.Fatalf("snapshot flip at offset %d of %d accepted", off, len(valid))

@@ -2,15 +2,17 @@ package server
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"bear"
 )
 
-// FuzzSniffLoad throws arbitrary upload bodies at the format sniffer and
-// the parsers behind it: no input may panic, and whatever parses must be
-// a usable graph.
+// FuzzSniffLoad throws arbitrary upload bodies at the format sniffer
+// (bear.LoadGraph) and the parsers behind it: no input may panic, and
+// whatever parses must be a usable graph.
 func FuzzSniffLoad(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("0 1\n1 2\n"))
@@ -20,12 +22,12 @@ func FuzzSniffLoad(f *testing.F) {
 	f.Add([]byte("not numbers at all"))
 	f.Add([]byte("0 1\n\xff\xfe binary junk"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := sniffLoad(bytes.NewReader(data))
+		g, err := bear.LoadGraph(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if g == nil {
-			t.Fatal("sniffLoad returned nil graph with nil error")
+			t.Fatal("LoadGraph returned nil graph with nil error")
 		}
 		_ = g.N()
 	})
@@ -35,7 +37,7 @@ func FuzzSniffLoad(f *testing.F) {
 // input must error out without panicking or registering partial state.
 func FuzzReadSnapshot(f *testing.F) {
 	s := New()
-	g, err := sniffLoad(strings.NewReader("0 1\n1 2\n2 0\n"))
+	g, err := bear.LoadGraph(strings.NewReader("0 1\n1 2\n2 0\n"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -51,6 +53,12 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("BEARSV01 junk"))
 	f.Add([]byte{})
+	f.Add(withBlobLen(valid, 1<<33))
+	legacy, err := os.ReadFile(filepath.Join("testdata", "sv01.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh := New()
 		if err := fresh.ReadSnapshot(bytes.NewReader(data)); err != nil {

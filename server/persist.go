@@ -7,11 +7,8 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -19,42 +16,16 @@ import (
 	"time"
 
 	"bear"
+	"bear/internal/frame"
 )
 
-// snapMagic identifies a server registry snapshot.
-var snapMagic = [8]byte{'B', 'E', 'A', 'R', 'S', 'V', '0', '1'}
+// Registry snapshots are frame kind "SV", version 1.
+const snapKind, snapVersion = "SV", 1
 
 const (
-	snapFooterLen = 12      // 8-byte payload length + 4-byte CRC32 (IEEE)
 	maxSnapGraphs = 1 << 20 // sanity bounds against corrupt headers
 	maxSnapBlob   = 1 << 38
 )
-
-type crcCountWriter struct {
-	w   io.Writer
-	n   int64
-	sum uint32
-}
-
-func (c *crcCountWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-	c.n += int64(n)
-	return n, err
-}
-
-type crcCountReader struct {
-	r   io.Reader
-	n   int64
-	sum uint32
-}
-
-func (c *crcCountReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-	c.n += int64(n)
-	return n, err
-}
 
 // WriteSnapshot serializes every registered graph to w. Each graph's
 // dynamic state carries its own integrity footer (see Dynamic.SaveState);
@@ -73,43 +44,24 @@ func (s *Server) WriteSnapshot(w io.Writer) error {
 	}
 	s.mu.RUnlock()
 
-	bw := bufio.NewWriter(w)
-	cw := &crcCountWriter{w: bw}
-	if _, err := cw.Write(snapMagic[:]); err != nil {
-		return fmt.Errorf("server: writing snapshot: %w", err)
-	}
-	if err := writeU64(cw, uint64(len(names))); err != nil {
-		return fmt.Errorf("server: writing snapshot: %w", err)
-	}
+	fw := frame.NewWriter(w, snapKind, snapVersion)
+	fw.U64(uint64(len(names)))
 	var blob bytes.Buffer
 	for i, name := range names {
 		blob.Reset()
 		if err := entries[i].dyn.SaveState(&blob); err != nil {
 			return fmt.Errorf("server: snapshotting graph %q: %w", name, err)
 		}
-		if err := writeU64(cw, uint64(len(name))); err != nil {
-			return fmt.Errorf("server: writing snapshot: %w", err)
-		}
-		if _, err := io.WriteString(cw, name); err != nil {
-			return fmt.Errorf("server: writing snapshot: %w", err)
-		}
-		if err := writeU64(cw, uint64(entries[i].created.UnixNano())); err != nil {
-			return fmt.Errorf("server: writing snapshot: %w", err)
-		}
-		if err := writeU64(cw, uint64(blob.Len())); err != nil {
-			return fmt.Errorf("server: writing snapshot: %w", err)
-		}
-		if _, err := cw.Write(blob.Bytes()); err != nil {
-			return fmt.Errorf("server: writing snapshot: %w", err)
-		}
+		fw.U64(uint64(len(name)))
+		io.WriteString(fw, name)
+		fw.U64(uint64(entries[i].created.UnixNano()))
+		fw.U64(uint64(blob.Len()))
+		fw.Write(blob.Bytes())
 	}
-	var foot [snapFooterLen]byte
-	binary.LittleEndian.PutUint64(foot[:8], uint64(cw.n))
-	binary.LittleEndian.PutUint32(foot[8:], cw.sum)
-	if _, err := bw.Write(foot[:]); err != nil {
+	if err := fw.Close(); err != nil {
 		return fmt.Errorf("server: writing snapshot: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadSnapshot restores the registry from a snapshot written by
@@ -120,15 +72,11 @@ func (s *Server) ReadSnapshot(r io.Reader) error {
 	// until the registry swap below lands (or the restore fails).
 	s.restoring.Store(true)
 	defer s.restoring.Store(false)
-	cr := &crcCountReader{r: bufio.NewReader(r)}
-	var got [8]byte
-	if _, err := io.ReadFull(cr, got[:]); err != nil {
+	fr := frame.NewReader(r)
+	if _, err := fr.Version(snapKind, snapVersion); err != nil {
 		return fmt.Errorf("server: reading snapshot: %w", err)
 	}
-	if got != snapMagic {
-		return fmt.Errorf("server: bad magic %q; not a BEAR server snapshot", got[:])
-	}
-	count, err := readU64(cr)
+	count, err := fr.U64()
 	if err != nil {
 		return fmt.Errorf("server: reading snapshot: %w", err)
 	}
@@ -137,7 +85,7 @@ func (s *Server) ReadSnapshot(r io.Reader) error {
 	}
 	graphs := make(map[string]*entry, count)
 	for i := uint64(0); i < count; i++ {
-		nameLen, err := readU64(cr)
+		nameLen, err := fr.U64()
 		if err != nil {
 			return fmt.Errorf("server: reading snapshot: %w", err)
 		}
@@ -145,26 +93,31 @@ func (s *Server) ReadSnapshot(r io.Reader) error {
 			return fmt.Errorf("server: corrupt snapshot: graph name of %d bytes", nameLen)
 		}
 		nameBytes := make([]byte, nameLen)
-		if _, err := io.ReadFull(cr, nameBytes); err != nil {
+		if _, err := io.ReadFull(fr, nameBytes); err != nil {
 			return fmt.Errorf("server: reading snapshot: %w", err)
 		}
 		name := string(nameBytes)
 		if err := validateName(name); err != nil {
 			return fmt.Errorf("server: corrupt snapshot: %w", err)
 		}
-		createdNano, err := readU64(cr)
+		createdNano, err := fr.U64()
 		if err != nil {
 			return fmt.Errorf("server: reading snapshot: %w", err)
 		}
-		blobLen, err := readU64(cr)
+		blobLen, err := fr.U64()
 		if err != nil {
 			return fmt.Errorf("server: reading snapshot: %w", err)
 		}
 		if blobLen > maxSnapBlob {
 			return fmt.Errorf("server: corrupt snapshot: graph %q blob of %d bytes", name, blobLen)
 		}
-		blob := make([]byte, blobLen)
-		if _, err := io.ReadFull(cr, blob); err != nil {
+		// The blob grows as it is read, so a lying length header fails at
+		// end of input instead of allocating its claimed size up front.
+		blob, err := io.ReadAll(io.LimitReader(fr, int64(blobLen)))
+		if err == nil && uint64(len(blob)) != blobLen {
+			err = fmt.Errorf("graph %q blob truncated at %d of %d bytes", name, len(blob), blobLen)
+		}
+		if err != nil {
 			return fmt.Errorf("server: reading snapshot: %w", err)
 		}
 		dyn, err := bear.LoadDynamic(bytes.NewReader(blob))
@@ -182,16 +135,8 @@ func (s *Server) ReadSnapshot(r io.Reader) error {
 			gen: nextGen.Add(1),
 		}
 	}
-	var foot [snapFooterLen]byte
-	// The footer is outside the checksummed region — read it directly.
-	if _, err := io.ReadFull(cr.r, foot[:]); err != nil {
-		return fmt.Errorf("server: truncated snapshot: missing integrity footer: %w", err)
-	}
-	if n := binary.LittleEndian.Uint64(foot[:8]); n != uint64(cr.n) {
-		return fmt.Errorf("server: corrupt snapshot: footer records %d payload bytes, read %d", n, cr.n)
-	}
-	if sum := binary.LittleEndian.Uint32(foot[8:]); sum != cr.sum {
-		return fmt.Errorf("server: corrupt snapshot: CRC32 mismatch (stored %08x, computed %08x)", sum, cr.sum)
+	if err := fr.CheckFooter(); err != nil {
+		return fmt.Errorf("server: reading snapshot: %w", err)
 	}
 	s.mu.Lock()
 	replaced := s.graphs
@@ -258,19 +203,4 @@ func (s *Server) LoadSnapshot(path string) error {
 		return fmt.Errorf("server: loading snapshot %s: %w", path, err)
 	}
 	return nil
-}
-
-func writeU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
 }

@@ -7,23 +7,21 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bear"
+	"bear/internal/graph"
 	"bear/internal/resultcache"
 )
 
@@ -426,7 +424,10 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		opts.Ordering = v
 	}
 	body := http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
-	g, err := sniffLoad(body)
+	g, err := bear.LoadGraph(body)
+	if errors.Is(err, graph.ErrEmptyInput) {
+		err = errors.New("empty request body")
+	}
 	if err != nil {
 		writeError(w, errBadRequest("parsing graph: %v", err))
 		return
@@ -445,26 +446,6 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	}
 	e, _ := s.lookup(name)
 	writeJSON(w, http.StatusCreated, e.info(name))
-}
-
-// sniffLoad parses either an edge list or a MatrixMarket body. An empty or
-// unreadable body is rejected here so the caller can return a clean 400
-// instead of handing a broken reader to the edge-list parser.
-func sniffLoad(r io.Reader) (*bear.Graph, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len("%%MatrixMarket"))
-	if len(head) == 0 {
-		// A short-but-valid body yields head bytes alongside io.EOF; no
-		// bytes at all means the body is empty or the read failed outright.
-		if err == nil || err == io.EOF {
-			return nil, errors.New("empty request body")
-		}
-		return nil, fmt.Errorf("reading request body: %w", err)
-	}
-	if strings.EqualFold(string(head), "%%MatrixMarket") {
-		return bear.LoadMatrixMarket(br)
-	}
-	return bear.LoadEdgeList(br)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -345,6 +345,10 @@ func TestMatrixMarketUpload(t *testing.T) {
 	if info["nodes"].(float64) != 3 {
 		t.Fatalf("MatrixMarket upload: %v", info)
 	}
+	out := doJSON(t, "PUT", ts.URL+"/v1/graphs/empty", "", http.StatusBadRequest)
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "empty request body") {
+		t.Fatalf("empty upload error = %v", out)
+	}
 }
 
 func TestConcurrentQueriesAndUpdates(t *testing.T) {

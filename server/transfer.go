@@ -8,7 +8,7 @@ import (
 )
 
 // Graph state transfer: GET export streams one graph's full dynamic
-// serving state (the same BEARDY01 framing the registry snapshot embeds,
+// serving state (the same BEARDY03 blob the registry snapshot embeds,
 // self-checksummed), and PUT import registers a graph from such a stream.
 // Together they are the anti-entropy primitive the bearfront coordinator's
 // /v1/cluster/repair uses to re-push a graph from a healthy replica to a
@@ -27,8 +27,8 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	// SaveState holds the graph's lock while serializing, so the blob is a
 	// consistent point-in-time state even under concurrent updates. A
 	// failure mid-stream cannot be turned into a clean HTTP error anymore
-	// (headers are out), but the BEARDY01 footer makes the receiver reject
-	// the truncated blob.
+	// (headers are out), but the blob's CRC footer makes the receiver
+	// reject the truncated stream.
 	if err := e.dyn.SaveState(w); err != nil {
 		s.logf("exporting graph %q: %v", name, err)
 	}
