@@ -417,18 +417,3 @@ func BenchmarkQueryThroughput(b *testing.B) {
 		b.ReportMetric(float64(b.N*len(seeds))/b.Elapsed().Seconds(), "queries/s")
 	})
 }
-
-// BenchmarkParallelPreprocess measures the per-block parallel preprocessing
-// against the sequential path.
-func BenchmarkParallelPreprocess(b *testing.B) {
-	g := benchDataset(b, "trust")
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Preprocess(g, core.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

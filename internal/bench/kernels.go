@@ -37,7 +37,6 @@ func kernelSweepLayouts(m *sparse.CSR) []kernel.Matrix {
 	if s := kernel.NewSELL(m); s != nil {
 		ks = append(ks, s)
 	}
-	ks = append(ks, kernel.NewParallel(kernel.NewCSR(m), m, 0))
 	return ks
 }
 

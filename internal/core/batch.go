@@ -41,30 +41,22 @@ func (p *Precomputed) QueryBatchCtx(ctx context.Context, seeds []int, workers in
 
 	// Group same-block seeds into chunks of the batch width; each chunk is
 	// one independent blocked solve, so chunks parallelize cleanly.
-	order := p.seedOrder(seeds)
 	nb := p.batchWidth()
-	nchunks := (len(order) + nb - 1) / nb
+	nchunks := (len(seeds) + nb - 1) / nb
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > nchunks {
 		workers = nchunks
 	}
-
 	if workers <= 1 {
-		bw := p.AcquireBatchWorkspace()
-		defer p.ReleaseBatchWorkspace(bw)
-		for start := 0; start < len(order); start += nb {
-			end := start + nb
-			if end > len(order) {
-				end = len(order)
-			}
-			if err := p.queryChunkTo(ctx, out, seeds, order[start:end], bw); err != nil {
-				return nil, err
-			}
+		if err := p.QueryBatchTo(ctx, out, seeds, nil); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}
+
+	order := p.seedOrder(seeds)
 
 	var (
 		wg       sync.WaitGroup

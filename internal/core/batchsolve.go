@@ -104,15 +104,8 @@ func (p *Precomputed) seedOrder(seeds []int) []int {
 	for i := range order {
 		order[i] = i
 	}
-	key := func(i int) int {
-		pos := p.Perm[seeds[i]]
-		if pos >= p.N1 {
-			return len(p.Blocks) // hubs sort after every block
-		}
-		return p.blockOfPos(pos)
-	}
 	sort.Slice(order, func(a, b int) bool {
-		ka, kb := key(order[a]), key(order[b])
+		ka, kb := p.chunkBlockOf(seeds[order[a]]), p.chunkBlockOf(seeds[order[b]])
 		if ka != kb {
 			return ka < kb
 		}

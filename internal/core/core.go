@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -68,12 +67,6 @@ type Options struct {
 	// factors of S just fill in more. Exposed for the ablation experiment
 	// that quantifies that design choice.
 	NoHubOrder bool
-	// Workers fans the per-block factorization of H₁₁ and the Schur
-	// complement products out over goroutines. The diagonal blocks are
-	// independent (Lemma 1), so results are bit-identical to the
-	// sequential path. Zero or one runs sequentially, matching the
-	// paper's single-threaded measurements; negative selects GOMAXPROCS.
-	Workers int
 	// KeepH retains the permuted system matrix H = I − (1−c)Ãᵀ alongside
 	// the factors. H is never subject to the drop tolerance, so it is the
 	// exact operator the factors approximate — which is what Residual and
@@ -92,14 +85,6 @@ type Options struct {
 	// only retained for exact indexes (DropTol == 0) on the row-normalized
 	// transition matrix — the two preconditions of incremental rebuilds.
 	RetainRebuildCache bool
-	// Kernel selects the query-time kernel layout (internal/sparse/kernel):
-	// "" or "auto" picks per matrix (SELL for near-diagonal factors with
-	// at most two entries per row, baseline CSR otherwise); "csr" and
-	// "sell" force one layout everywhere; "parallel" adds
-	// row-partitioned multi-worker SpMV/SpMM on large matrices. Every
-	// setting is bit-identical on the query path (Exact-mode contract);
-	// only speed differs.
-	Kernel string
 }
 
 func (o Options) withDefaults() Options {
@@ -217,14 +202,13 @@ func (p *Precomputed) initDerived() {
 	}
 }
 
-// initKernels builds the kernel-layer views of the factor matrices; it
-// must run after the factor fields are final (both Preprocess and Load
-// call it). An empty spec selects the per-matrix auto heuristic.
-func (p *Precomputed) initKernels(spec string) error {
-	cfg, err := kernel.ParseConfig(spec)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
+// initKernels builds the kernel-layer views of the factor matrices, each
+// in the layout the per-matrix auto heuristic picks (SELL for
+// near-diagonal factors with at most two entries per row, baseline CSR
+// otherwise; results are bit-identical either way). It must run after the
+// factor fields are final (both Preprocess and Load call it).
+func (p *Precomputed) initKernels() {
+	var cfg kernel.Config
 	p.kern.l1inv = kernel.New(p.L1Inv, cfg)
 	p.kern.u1inv = kernel.New(p.U1Inv, cfg)
 	p.kern.h12 = kernel.New(p.H12, cfg)
@@ -235,12 +219,11 @@ func (p *Precomputed) initKernels(spec string) error {
 	if p.H != nil {
 		p.kern.h = kernel.New(p.H, cfg)
 	}
-	return nil
 }
 
 // KernelLayouts reports the layout chosen for each factor matrix, keyed
 // by the factor's Algorithm 1 name — observability for the auto
-// heuristic and the -kernel override.
+// heuristic.
 func (p *Precomputed) KernelLayouts() map[string]string {
 	out := map[string]string{
 		"l1inv": p.kern.l1inv.Layout(),
@@ -294,11 +277,7 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 	if opts.DropTol < 0 {
 		return nil, fmt.Errorf("core: negative drop tolerance %g", opts.DropTol)
 	}
-	// Reject a bad kernel spec or unknown ordering before minutes of
-	// preprocessing, not after.
-	if _, err := kernel.ParseConfig(opts.Kernel); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
+	// Reject an unknown ordering before minutes of preprocessing, not after.
 	ord, err := ordering.Get(opts.Ordering)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -352,18 +331,9 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 	h21 := hp.Submatrix(n1, n, 0, n1).ToCSR()
 	h22 := hp.Submatrix(n1, n, n1, n).ToCSR()
 
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-
 	// Line 5: LU-decompose H₁₁ and invert the factors. Gilbert–Peierls on a
 	// block-diagonal matrix factors each block independently (Lemma 1), and
-	// the reach-limited triangular inversion preserves the block structure —
-	// which also makes the blocks embarrassingly parallel.
+	// the reach-limited triangular inversion preserves the block structure.
 	tlu1 := time.Now()
 	var l1inv, u1inv *sparse.CSR
 	if n1 == 0 {
@@ -373,32 +343,21 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 		l1inv = sparse.NewCSR(0, 0, nil)
 		u1inv = sparse.NewCSR(0, 0, nil)
 	} else if len(sb.Blocks) > 1 {
-		// The per-block path is bit-identical to whole-matrix LU (Lemma 1)
-		// even at workers == 1, and it gives cancellation a per-block poll
-		// point, so any multi-block H₁₁ takes it.
-		li, ui, err := sparse.BlockDiagLUInverseCancel(h11, sb.Blocks, workers, ctx.Err)
+		// The per-block path is bit-identical to whole-matrix LU (Lemma 1),
+		// and it gives cancellation a per-block poll point, so any
+		// multi-block H₁₁ takes it.
+		l1inv, u1inv, err = sparse.BlockDiagLUInverseCancel(h11, sb.Blocks, ctx.Err)
 		if err != nil {
 			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 				return nil, fmt.Errorf("core: preprocessing aborted during block LU: %w", err)
 			}
 			return nil, fmt.Errorf("core: factoring H11 blocks: %w", err)
 		}
-		l1inv, u1inv = li, ui
 	} else {
-		f1, err := sparse.LU(h11)
+		l1inv, u1inv, err = sparse.LUInverse(h11)
 		if err != nil {
-			return nil, fmt.Errorf("core: LU of H11: %w", err)
+			return nil, fmt.Errorf("core: factoring H11: %w", err)
 		}
-		l1invCSC, err := sparse.InverseLower(f1.L, true)
-		if err != nil {
-			return nil, fmt.Errorf("core: inverting L1: %w", err)
-		}
-		u1invCSC, err := sparse.InverseUpper(f1.U)
-		if err != nil {
-			return nil, fmt.Errorf("core: inverting U1: %w", err)
-		}
-		l1inv = l1invCSC.ToCSR()
-		u1inv = u1invCSC.ToCSR()
 	}
 	timeLU1 := time.Since(tlu1)
 
@@ -406,15 +365,15 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 	tschur := time.Now()
 	var s, t2 *sparse.CSR
 	if p.N2 > 0 {
-		t1 := sparse.ParallelMul(l1inv, h12, workers)
+		t1 := sparse.Mul(l1inv, h12)
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: preprocessing aborted during Schur assembly: %w", err)
 		}
-		t2 = sparse.ParallelMul(u1inv, t1, workers)
+		t2 = sparse.Mul(u1inv, t1)
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: preprocessing aborted during Schur assembly: %w", err)
 		}
-		t3 := sparse.ParallelMul(h21, t2, workers)
+		t3 := sparse.Mul(h21, t2)
 		s = sparse.Sub(h22, t3).Prune()
 	} else {
 		s = sparse.NewCSR(0, 0, nil)
@@ -497,9 +456,7 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 	p.SPerm = sperm
 	p.OutDegree = weightedOutDegrees(g)
 	p.initDerived()
-	if err := p.initKernels(opts.Kernel); err != nil {
-		return nil, err
-	}
+	p.initKernels()
 	p.Stats = Stats{
 		N: n, M: g.M(), N1: p.N1, N2: p.N2,
 		NumBlocks:     len(sb.Blocks),

@@ -41,7 +41,7 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 	e.f64(opts.HubRatio)
 	e.i64(int64(opts.K))
 	e.i64(int64(opts.DenseSchurCutoff))
-	e.i64(int64(opts.Workers))
+	e.i64(0) // retired Workers slot, kept so the byte layout stays BEARDY03
 	e.bool(opts.Laplacian)
 	e.bool(opts.NoHubOrder)
 	e.bool(opts.KeepH)
@@ -79,7 +79,7 @@ func LoadDynamic(r io.Reader) (*Dynamic, error) {
 	opts.HubRatio = d.f64()
 	opts.K = int(d.i64())
 	opts.DenseSchurCutoff = int(d.i64())
-	opts.Workers = int(d.i64())
+	d.i64() // retired Workers slot
 	opts.Laplacian = d.bool()
 	opts.NoHubOrder = d.bool()
 	withH := v >= 2

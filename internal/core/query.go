@@ -126,20 +126,38 @@ func (p *Precomputed) solveGeneralToCtx(ctx context.Context, dst, b []float64, w
 	return nil
 }
 
-// solveSeedToCtx computes H⁻¹ (val·e_node) into dst for the node at internal
-// position pos. For a spoke seed the forward pass U₁⁻¹L₁⁻¹b₁ is supported
-// only on the seed's diagonal block (Lemma 1: the factors of a
-// block-diagonal matrix are block diagonal), so the two triangular
-// products run over that block's row range and the H₂₁ product over its
-// column range, all located via the precomputed block prefix sums. For a
-// hub seed b₁ = 0 and the forward pass vanishes entirely. Skipped terms
-// are exact zeros, so dst is bit-identical to the general path.
-// Cancellation is checked between the stages.
+// solveSeedToCtx computes H⁻¹ (val·e_node) into dst for the node at
+// internal position pos: seedForwardSchur, then the full back-substitution.
+// dst is bit-identical to the general path. Cancellation is checked
+// between the stages.
 func (p *Precomputed) solveSeedToCtx(ctx context.Context, dst []float64, pos int, val float64, ws *Workspace) error {
-	if err := ctx.Err(); err != nil {
+	tr := obsv.FromContext(ctx)
+	b1, r2, err := p.seedForwardSchur(ctx, tr, pos, val, ws)
+	if err != nil {
 		return err
 	}
-	tr := obsv.FromContext(ctx)
+	sw := tr.Start(obsv.SpanBackSolve)
+	p.backSolveTo(dst, b1, r2, ws)
+	sw.Stop()
+	return nil
+}
+
+// seedForwardSchur loads val·e_pos into ws.full and runs the forward and
+// Schur stages of a single-seed solve, recording forward_solve and
+// schur_solve into tr. It returns b₁ (aliasing ws.full) and the hub
+// solution r₂ (one of ws's hub buffers; nil when n₂ = 0). For a spoke seed
+// the forward pass U₁⁻¹L₁⁻¹b₁ is supported only on the seed's diagonal
+// block (Lemma 1: the factors of a block-diagonal matrix are block
+// diagonal), so the two triangular products run over that block's row
+// range and the H₂₁ product over its column range, all located via the
+// precomputed block prefix sums. For a hub seed b₁ = 0 and the forward
+// pass vanishes entirely. Skipped terms are exact zeros, so r₂ is
+// bit-identical to the general path's. Cancellation is checked between
+// the stages.
+func (p *Precomputed) seedForwardSchur(ctx context.Context, tr *obsv.Trace, pos int, val float64, ws *Workspace) (b1, r2 []float64, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	n1, n2 := p.N1, p.N2
 	bp := ws.full
 	for i := range bp {
@@ -148,7 +166,6 @@ func (p *Precomputed) solveSeedToCtx(ctx context.Context, dst []float64, pos int
 	bp[pos] = val
 	b1, b2 := bp[:n1], bp[n1:]
 
-	var r2 []float64
 	if n2 > 0 {
 		if pos < n1 {
 			sw := tr.Start(obsv.SpanForwardSolve)
@@ -158,7 +175,7 @@ func (p *Precomputed) solveSeedToCtx(ctx context.Context, dst []float64, pos int
 			p.kern.u1inv.SpMVRange(ws.s1b, ws.s1a, lo, hi, kernel.Exact)
 			sw.Stop()
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, nil, err
 			}
 			sw = tr.Start(obsv.SpanSchurSolve)
 			r2 = p.schurSolveTo(b2, ws.s1b, lo, hi, ws)
@@ -173,12 +190,9 @@ func (p *Precomputed) solveSeedToCtx(ctx context.Context, dst []float64, pos int
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, nil, err
 	}
-	sw := tr.Start(obsv.SpanBackSolve)
-	p.backSolveTo(dst, b1, r2, ws)
-	sw.Stop()
-	return nil
+	return b1, r2, nil
 }
 
 // schurSolveTo computes r₂ = U₂⁻¹ (L₂⁻¹ P (b₂ − H₂₁ t)) where t is valid
@@ -310,10 +324,9 @@ func TopK(scores []float64, k int) []int {
 	return topKFiltered(scores, k, nil)
 }
 
-// topKFiltered is the bounded min-heap behind every top-k selection
-// (TopK, TopKExcluding and TopKCandidates): indices for which skip returns
-// true never enter the heap. Candidates rank by descending score, ties by
-// ascending id, NaN ordered explicitly as the worst possible score.
+// topKFiltered is the selection behind TopK, TopKExcluding and
+// TopKCandidates: indices for which skip returns true never enter the
+// heap.
 func topKFiltered(scores []float64, k int, skip func(int) bool) []int {
 	if k > len(scores) {
 		k = len(scores)
@@ -321,61 +334,90 @@ func topKFiltered(scores []float64, k int, skip func(int) bool) []int {
 	if k <= 0 {
 		return []int{}
 	}
-	// worse reports whether candidate a ranks strictly below b: lower
-	// score, or equal score and higher id. NaN compares false against
-	// everything, which would leave the heap order undefined, so it is
-	// ordered explicitly as the worst possible score.
-	worse := func(a, b int) bool {
-		sa, sb := scores[a], scores[b]
-		if math.IsNaN(sa) {
-			return !math.IsNaN(sb) || a > b
-		}
-		if math.IsNaN(sb) {
-			return false
-		}
-		return sa < sb || (sa == sb && a > b)
-	}
-	h := make([]int, 0, k)
-	add := func(i int) {
-		if len(h) < k {
-			// Sift up.
-			h = append(h, i)
-			for c := len(h) - 1; c > 0; {
-				par := (c - 1) / 2
-				if !worse(h[c], h[par]) {
-					break
-				}
-				h[c], h[par] = h[par], h[c]
-				c = par
-			}
-			return
-		}
-		if worse(i, h[0]) {
-			return
-		}
-		// Replace the weakest and sift down.
-		h[0] = i
-		for c := 0; ; {
-			l, r, m := 2*c+1, 2*c+2, c
-			if l < k && worse(h[l], h[m]) {
-				m = l
-			}
-			if r < k && worse(h[r], h[m]) {
-				m = r
-			}
-			if m == c {
-				break
-			}
-			h[c], h[m] = h[m], h[c]
-			c = m
-		}
-	}
+	q := topKHeap{scores: scores, h: make([]int, 0, k), k: k}
 	for i := range scores {
 		if skip != nil && skip(i) {
 			continue
 		}
-		add(i)
+		q.push(i)
 	}
-	sort.Slice(h, func(a, b int) bool { return worse(h[b], h[a]) })
-	return h
+	return q.sorted()
+}
+
+// topKHeap is a bounded min-heap of node ids ranked by a score vector
+// under TopK's comparator (descending score, ties by ascending id, NaN
+// ordered as the worst possible score). The root is the weakest retained
+// candidate, so once the heap holds k ids its root score is the running
+// k-th best score. k must be positive.
+type topKHeap struct {
+	scores []float64
+	h      []int
+	k      int
+}
+
+// worse reports whether candidate a ranks strictly below b: lower score,
+// or equal score and higher id. NaN compares false against everything,
+// which would leave the heap order undefined, so it is ordered explicitly.
+func (q *topKHeap) worse(a, b int) bool {
+	sa, sb := q.scores[a], q.scores[b]
+	if math.IsNaN(sa) {
+		return !math.IsNaN(sb) || a > b
+	}
+	if math.IsNaN(sb) {
+		return false
+	}
+	return sa < sb || (sa == sb && a > b)
+}
+
+// push offers candidate i: it enters while the heap holds fewer than k
+// ids, and afterwards replaces the root only if it ranks above it.
+func (q *topKHeap) push(i int) {
+	if len(q.h) < q.k {
+		// Sift up.
+		q.h = append(q.h, i)
+		for c := len(q.h) - 1; c > 0; {
+			par := (c - 1) / 2
+			if !q.worse(q.h[c], q.h[par]) {
+				break
+			}
+			q.h[c], q.h[par] = q.h[par], q.h[c]
+			c = par
+		}
+		return
+	}
+	if q.worse(i, q.h[0]) {
+		return
+	}
+	// Replace the weakest and sift down.
+	q.h[0] = i
+	for c := 0; ; {
+		l, r, m := 2*c+1, 2*c+2, c
+		if l < q.k && q.worse(q.h[l], q.h[m]) {
+			m = l
+		}
+		if r < q.k && q.worse(q.h[r], q.h[m]) {
+			m = r
+		}
+		if m == c {
+			break
+		}
+		q.h[c], q.h[m] = q.h[m], q.h[c]
+		c = m
+	}
+}
+
+// theta returns the current k-th best score, or (0, false) while fewer
+// than k scores have been seen.
+func (q *topKHeap) theta() (float64, bool) {
+	if len(q.h) < q.k {
+		return 0, false
+	}
+	return q.scores[q.h[0]], true
+}
+
+// sorted orders the retained ids best first, in place, and returns them;
+// the heap is spent afterwards.
+func (q *topKHeap) sorted() []int {
+	sort.Slice(q.h, func(a, b int) bool { return q.worse(q.h[b], q.h[a]) })
+	return q.h
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"bear/internal/graph"
@@ -378,64 +376,23 @@ func (d *Dynamic) incrementalPlanLocked() (*incrPlan, string) {
 // re-factorization of the snapshot under the reused ordering.
 func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed, opts Options, plan *incrPlan, rep *RebuildReport) (*Precomputed, error) {
 	opts = opts.withDefaults()
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 0 {
-		workers = 1
-	}
 
 	// Stage 1 (Algorithm 1 line 5, dirty blocks only): rebuild each dirty
 	// diagonal block of H₁₁ from the snapshot rows and re-factor it with
 	// the same per-block LU + triangular inversion the full pass uses.
 	tlu := time.Now()
-	type blockFactors struct {
-		li, ui *sparse.CSR
-		err    error
-	}
+	type blockFactors struct{ li, ui *sparse.CSR }
 	factors := make([]blockFactors, len(plan.blocks))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
 	for i, b := range plan.blocks {
-		wg.Add(1)
-		go func(i, b int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				factors[i].err = err
-				return
-			}
-			lo, hi := old.BlockOffsets[b], old.BlockOffsets[b+1]
-			blk := buildH11Block(snap, old, lo, hi)
-			f, err := sparse.LU(blk)
-			if err != nil {
-				factors[i].err = fmt.Errorf("block %d: %w", b, err)
-				return
-			}
-			li, err := sparse.InverseLower(f.L, true)
-			if err != nil {
-				factors[i].err = fmt.Errorf("block %d: %w", b, err)
-				return
-			}
-			ui, err := sparse.InverseUpper(f.U)
-			if err != nil {
-				factors[i].err = fmt.Errorf("block %d: %w", b, err)
-				return
-			}
-			factors[i].li = li.ToCSR()
-			factors[i].ui = ui.ToCSR()
-		}(i, b)
-	}
-	wg.Wait()
-	for _, f := range factors {
-		if f.err != nil {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("core: incremental rebuild aborted during block LU: %w", f.err)
-			}
-			return nil, fmt.Errorf("core: incremental rebuild re-factoring H11: %w", f.err)
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: incremental rebuild aborted during block LU: %w", err)
 		}
+		lo, hi := old.BlockOffsets[b], old.BlockOffsets[b+1]
+		li, ui, err := sparse.LUInverse(buildH11Block(snap, old, lo, hi))
+		if err != nil {
+			return nil, fmt.Errorf("core: incremental rebuild re-factoring H11: block %d: %w", b, err)
+		}
+		factors[i] = blockFactors{li, ui}
 	}
 	rep.TimeBlockLU = time.Since(tlu)
 	rep.BlocksRefactored = len(plan.blocks)
@@ -519,7 +476,7 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 			t2Splices[i] = sparse.RowSplice{Lo: lo, ColOffset: 0, Block: t2b}
 		}
 		t2 = t2.SpliceRows(t2Splices)
-		t3 := sparse.ParallelMul(h21, t2, workers)
+		t3 := sparse.Mul(h21, t2)
 		s = sparse.Sub(old.incr.h22, t3).Prune()
 	} else {
 		s = sparse.NewCSR(0, 0, nil)
@@ -579,9 +536,7 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 		p2.Stats.NNZH = hFull.NNZ()
 	}
 	p2.initDerived()
-	if err := p2.initKernels(opts.Kernel); err != nil {
-		return nil, err
-	}
+	p2.initKernels()
 	return p2, nil
 }
 

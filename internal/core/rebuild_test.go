@@ -55,7 +55,7 @@ func pinnedFullPrecomputed(t *testing.T, snap *graph.Graph, old *Precomputed, op
 
 	var l1inv, u1inv *sparse.CSR
 	if len(old.Blocks) > 1 {
-		li, ui, err := sparse.BlockDiagLUInverse(h11, old.Blocks, 1)
+		li, ui, err := sparse.BlockDiagLUInverseCancel(h11, old.Blocks, nil)
 		if err != nil {
 			t.Fatalf("pinned full rebuild: block LU: %v", err)
 		}
@@ -78,9 +78,9 @@ func pinnedFullPrecomputed(t *testing.T, snap *graph.Graph, old *Precomputed, op
 
 	var s, t2 *sparse.CSR
 	if old.N2 > 0 {
-		t1 := sparse.ParallelMul(l1inv, h12, 1)
-		t2 = sparse.ParallelMul(u1inv, t1, 1)
-		t3 := sparse.ParallelMul(h21, t2, 1)
+		t1 := sparse.Mul(l1inv, h12)
+		t2 = sparse.Mul(u1inv, t1)
+		t3 := sparse.Mul(h21, t2)
 		s = sparse.Sub(h22, t3).Prune()
 	} else {
 		t2 = sparse.NewCSR(n1, 0, nil)
@@ -107,9 +107,7 @@ func pinnedFullPrecomputed(t *testing.T, snap *graph.Graph, old *Precomputed, op
 		incr:      &rebuildCache{t2: t2, h22: h22},
 	}
 	p2.initDerived()
-	if err := p2.initKernels(opts.Kernel); err != nil {
-		t.Fatalf("pinned full rebuild: %v", err)
-	}
+	p2.initKernels()
 	return p2
 }
 

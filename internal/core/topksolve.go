@@ -23,6 +23,7 @@ import (
 	"math"
 	"sort"
 
+	"bear/internal/obsv"
 	"bear/internal/sparse/kernel"
 )
 
@@ -70,109 +71,26 @@ func (p *Precomputed) topKColBounds() []float64 {
 	return p.topkNu
 }
 
-// topKIDHeap is a bounded min-heap of node ids ranked by a score vector
-// under TopK's comparator (descending score, ties by ascending id): the
-// root is the weakest retained candidate, so once the heap holds k ids
-// its root score is the running k-th best exact score θ, and at the end
-// of the solve the heap IS the top-k — no dense rescan needed. Exact
-// scores are finite factor products, never NaN, so the comparator skips
-// TopK's explicit NaN ordering.
-type topKIDHeap struct {
-	scores []float64
-	h      []int
-	k      int
-}
-
-// worse reports whether candidate a ranks strictly below b.
-func (q *topKIDHeap) worse(a, b int) bool {
-	sa, sb := q.scores[a], q.scores[b]
-	return sa < sb || (sa == sb && a > b)
-}
-
-func (q *topKIDHeap) push(i int) {
-	if len(q.h) < q.k {
-		q.h = append(q.h, i)
-		for c := len(q.h) - 1; c > 0; {
-			par := (c - 1) / 2
-			if !q.worse(q.h[c], q.h[par]) {
-				break
-			}
-			q.h[c], q.h[par] = q.h[par], q.h[c]
-			c = par
-		}
-		return
-	}
-	if q.worse(i, q.h[0]) {
-		return
-	}
-	q.h[0] = i
-	for c := 0; ; {
-		l, r, m := 2*c+1, 2*c+2, c
-		if l < q.k && q.worse(q.h[l], q.h[m]) {
-			m = l
-		}
-		if r < q.k && q.worse(q.h[r], q.h[m]) {
-			m = r
-		}
-		if m == c {
-			break
-		}
-		q.h[c], q.h[m] = q.h[m], q.h[c]
-		c = m
-	}
-}
-
-// theta returns the current k-th best score, or (0, false) while fewer
-// than k scores have been seen (no block may be pruned on score yet).
-func (q *topKIDHeap) theta() (float64, bool) {
-	if len(q.h) < q.k {
-		return 0, false
-	}
-	return q.scores[q.h[0]], true
-}
-
 // solveSeedTopKCtx answers a single-seed top-k query with the block-pruned
-// exact solve. It mirrors solveSeedToCtx through the forward and Schur
-// stages (hub scores are always exact), then back-substitutes spoke blocks
+// exact solve. It shares solveSeedToCtx's forward and Schur stages (hub
+// scores are always exact), then back-substitutes spoke blocks
 // in decreasing order of their certified score bound, stopping as soon as
 // the remaining bounds fall strictly below the running k-th best exact
 // score. Scores are final (restart-scaled); nodes are graph ids ranked
 // with TopK's exact comparator. solved and skipped count spoke blocks.
 func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Workspace) (nodes []int, scores []float64, solved, skipped int, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, 0, err
-	}
+	tr := obsv.FromContext(ctx)
 	n1, n2 := p.N1, p.N2
 	c := p.C
 	pos := p.Perm[seed]
-	bp := ws.full
-	for i := range bp {
-		bp[i] = 0
-	}
-	bp[pos] = 1
-	b1, b2 := bp[:n1], bp[n1:]
-
-	// Forward and Schur stages, exactly as solveSeedToCtx: the seed block's
-	// restricted factor products feed the hub system, whose solution r2 is
-	// exact for every hub.
-	var r2 []float64
-	if n2 > 0 {
-		if pos < n1 {
-			bi := p.blockOfPos(pos)
-			lo, hi := p.BlockOffsets[bi], p.BlockOffsets[bi+1]
-			p.kern.l1inv.SpMVRange(ws.s1a, b1, lo, hi, kernel.Exact)
-			p.kern.u1inv.SpMVRange(ws.s1b, ws.s1a, lo, hi, kernel.Exact)
-			if err := ctx.Err(); err != nil {
-				return nil, nil, 0, 0, err
-			}
-			r2 = p.schurSolveTo(b2, ws.s1b, lo, hi, ws)
-		} else {
-			r2 = p.schurSolveTo(b2, nil, 0, 0, ws)
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	// Everything after the forward and Schur stages is the pruned
+	// back-substitution, traced as one backsolve span.
+	b1, r2, err := p.seedForwardSchur(ctx, tr, pos, 1, ws)
+	if err != nil {
 		return nil, nil, 0, 0, err
 	}
+	sw := tr.Start(obsv.SpanBackSolve)
+	defer sw.Stop()
 
 	// z = b₁ − H₁₂r₂, the shared right-hand side of every block's back
 	// substitution — identical to backSolveTo's, and needed in full for the
@@ -189,13 +107,13 @@ func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Wor
 		z[i] = b1[i] - z[i]
 	}
 
-	// bp is dead once z exists (schurSolveTo's result lives in s2a/s2b),
-	// so its backing array is recycled as the score vector.
+	// b₁'s backing array ws.full is dead once z exists (schurSolveTo's
+	// result lives in s2a/s2b), so it is recycled as the score vector.
 	dst := ws.full
 	for i := range dst {
 		dst[i] = 0
 	}
-	heap := topKIDHeap{scores: dst, k: k}
+	heap := topKHeap{scores: dst, k: k}
 	for i := 0; i < n2; i++ {
 		v := p.InvPerm[n1+i]
 		dst[v] = c * r2[i]
@@ -280,8 +198,7 @@ func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Wor
 		// full solve's TopK does.
 		nodes = TopK(dst, k)
 	} else {
-		nodes = append([]int(nil), heap.h...)
-		sort.Slice(nodes, func(a, b int) bool { return heap.worse(nodes[b], nodes[a]) })
+		nodes = heap.sorted()
 	}
 	scores = make([]float64, len(nodes))
 	for i, v := range nodes {

@@ -74,6 +74,53 @@ func TestQueryTracePropagation(t *testing.T) {
 	}
 }
 
+// TestTopKTracePropagation: a traced top-k query on the block-pruned path
+// records the same three solver stages as a single-seed query, exactly
+// once each, for spoke and hub seeds alike.
+func TestTopKTracePropagation(t *testing.T) {
+	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 6, Size: 15, PIntra: 0.3, Hubs: 4, HubDeg: 20, Seed: 7})
+	d, err := NewDynamic(g, Options{})
+	if err != nil {
+		t.Fatalf("NewDynamic: %v", err)
+	}
+	p := d.Precomputed()
+	spoke, hub := -1, -1
+	for node := 0; node < p.N; node++ {
+		if p.IsHub(node) {
+			hub = node
+		} else {
+			spoke = node
+		}
+	}
+	if hub < 0 || spoke < 0 {
+		t.Fatal("test graph needs both hub and spoke seeds")
+	}
+	stages := []string{obsv.SpanForwardSolve, obsv.SpanSchurSolve, obsv.SpanBackSolve}
+	for _, tc := range []struct {
+		name string
+		seed int
+	}{{"spoke", spoke}, {"hub", hub}} {
+		tr := obsv.NewTrace()
+		res, err := d.QueryTopKCtx(obsv.WithTrace(context.Background(), tr), tc.seed, 5)
+		if err != nil {
+			t.Fatalf("%s: QueryTopKCtx: %v", tc.name, err)
+		}
+		if res.Stats.Fallback != "" {
+			t.Fatalf("%s: fallback %q, want the block-pruned path", tc.name, res.Stats.Fallback)
+		}
+		got := countSpans(tr.Spans())
+		for _, stage := range stages {
+			if got[stage] != 1 {
+				t.Errorf("%s seed: stage %s recorded %d times, want exactly 1 (spans: %v)",
+					tc.name, stage, got[stage], tr.Spans())
+			}
+		}
+		if len(got) != len(stages) {
+			t.Errorf("%s seed: unexpected extra stages in %v", tc.name, tr.Spans())
+		}
+	}
+}
+
 // TestBatchTracePropagation: the blocked multi-RHS path records the stage
 // set once per chunk; a single-chunk batch therefore shows each exactly
 // once, regardless of how many seeds it carries.

@@ -11,16 +11,12 @@
 //   - sell: SELL-C-σ (sliced ELLPACK, C=8, σ=C). Rows are processed in
 //     slices of 8, sorted by length within the slice, entries stored
 //     column-position-major so the 8 accumulators advance in lockstep.
-//   - parallel: a wrapper over any layout that row-partitions SpMV/SpMM
-//     across the shared persistent worker pool with nnz-balanced cuts.
 //
 // # Determinism contract
 //
 // Exact mode guarantees results bit-identical to the baseline CSR kernels:
 // every layout accumulates each output row in the same order as
-// sparse.(*CSR).MulVecTo (ascending stored-column order), and the parallel
-// wrapper assigns each row to exactly one partition whose boundaries
-// depend only on the matrix and the worker count — never on scheduling.
+// sparse.(*CSR).MulVecTo (ascending stored-column order).
 package kernel
 
 import "sync/atomic"
@@ -46,7 +42,7 @@ type Matrix interface {
 	Dims() (r, c int)
 	// NNZ returns the stored entry count.
 	NNZ() int
-	// Layout names the storage layout ("csr", "sell", "parallel").
+	// Layout names the storage layout ("csr" or "sell").
 	Layout() string
 
 	// SpMV computes y = M·x. len(y) = rows, len(x) = cols.
@@ -72,7 +68,7 @@ type Matrix interface {
 	Residual(r, q, x []float64, mode Mode)
 }
 
-// Layout/parallel-path selection and call counters, exposed for the
+// Layout selection and call counters, exposed for the
 // server's bear_kernel_* metrics. All counters are monotone and safe for
 // concurrent use.
 type layoutStats struct {
@@ -82,20 +78,18 @@ type layoutStats struct {
 }
 
 const (
-	layoutCSR      = "csr"
-	layoutSELL     = "sell"
-	layoutParallel = "parallel"
+	layoutCSR  = "csr"
+	layoutSELL = "sell"
 )
 
 var stats = map[string]*layoutStats{
-	layoutCSR:      new(layoutStats),
-	layoutSELL:     new(layoutStats),
-	layoutParallel: new(layoutStats),
+	layoutCSR:  new(layoutStats),
+	layoutSELL: new(layoutStats),
 }
 
 // Layouts lists every layout name that Stats reports, in display order.
 func Layouts() []string {
-	return []string{layoutCSR, layoutSELL, layoutParallel}
+	return []string{layoutCSR, layoutSELL}
 }
 
 // Stats returns the cumulative selection and call counters for a layout.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"bear/internal/sparse"
@@ -46,11 +45,9 @@ type layoutCase struct {
 	build func(m *sparse.CSR) kernel.Matrix
 }
 
-// layoutCases enumerates every layout × worker-count combination the
-// property tests cover: all storage layouts sequentially, and each
-// wrapped in the parallel row-partitioner at 1, 3 and GOMAXPROCS lanes.
+// layoutCases enumerates every storage layout the property tests cover.
 func layoutCases(t testing.TB) []layoutCase {
-	cases := []layoutCase{
+	return []layoutCase{
 		{"csr", func(m *sparse.CSR) kernel.Matrix { return kernel.NewCSR(m) }},
 		{"sell", func(m *sparse.CSR) kernel.Matrix {
 			s := kernel.NewSELL(m)
@@ -60,19 +57,6 @@ func layoutCases(t testing.TB) []layoutCase {
 			return s
 		}},
 	}
-	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-		workers := workers
-		for _, base := range cases[:2] {
-			base := base
-			cases = append(cases, layoutCase{
-				name: fmt.Sprintf("parallel(%s,w=%d)", base.name, workers),
-				build: func(m *sparse.CSR) kernel.Matrix {
-					return kernel.NewParallel(base.build(m), m, workers)
-				},
-			})
-		}
-	}
-	return cases
 }
 
 // checkVec asserts a kernel result is bit-identical to the baseline.
@@ -98,10 +82,8 @@ func fixtures(rng *rand.Rand) map[string]*sparse.CSR {
 }
 
 // TestKernelLayoutsMatchBaseline is the satellite property test: random
-// graphs × every layout × {1, 3, GOMAXPROCS} workers, asserting
-// bit-identical results vs baseline CSR in Exact mode for every primitive
-// in the Matrix interface.
-// CI runs this under -race, which also exercises the pool partitioning.
+// graphs × every layout, asserting bit-identical results vs baseline CSR
+// in Exact mode for every primitive in the Matrix interface.
 func TestKernelLayoutsMatchBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for mname, m := range fixtures(rng) {
@@ -197,11 +179,10 @@ func TestKernelLayoutsMatchBaseline(t *testing.T) {
 
 func TestParseConfig(t *testing.T) {
 	for spec, want := range map[string]kernel.Config{
-		"":         {},
-		"auto":     {},
-		"csr":      {Layout: kernel.ForceCSR},
-		"sell":     {Layout: kernel.ForceSELL},
-		"parallel": {Workers: -1},
+		"":     {},
+		"auto": {},
+		"csr":  {Layout: kernel.ForceCSR},
+		"sell": {Layout: kernel.ForceSELL},
 	} {
 		got, err := kernel.ParseConfig(spec)
 		if err != nil {
@@ -211,7 +192,7 @@ func TestParseConfig(t *testing.T) {
 			t.Fatalf("ParseConfig(%q) = %+v, want %+v", spec, got, want)
 		}
 	}
-	for _, spec := range []string{"blocked-nonsense", "hybrid"} {
+	for _, spec := range []string{"blocked-nonsense", "hybrid", "parallel"} {
 		if _, err := kernel.ParseConfig(spec); err == nil {
 			t.Fatalf("ParseConfig accepted the unknown spec %q", spec)
 		}
@@ -220,8 +201,7 @@ func TestParseConfig(t *testing.T) {
 
 // TestAutoSelection pins the heuristic: near-diagonal matrices (mean ≤ 2
 // entries per row, where SELL measures ~1.5× over CSR) pick SELL, denser
-// ones stay on CSR, small matrices never pay layout construction, and
-// the parallel wrapper engages only past the nnz floor.
+// ones stay on CSR, and small matrices never pay layout construction.
 func TestAutoSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	// Near-diagonal: 1–2 entries per row, the spoke-factor shape of
@@ -247,17 +227,5 @@ func TestAutoSelection(t *testing.T) {
 	}
 	if got := kernel.New(spoke, kernel.Config{Layout: kernel.ForceSELL}).Layout(); got != "sell" {
 		t.Fatalf("forced layout = %s, want sell", got)
-	}
-	// spoke has ~4.8k entries — under the parallel floor, so no wrapper
-	// even with workers requested.
-	if got := kernel.New(spoke, kernel.Config{Workers: 4}).Layout(); got == "parallel" {
-		t.Fatal("parallel wrapper engaged below the nnz floor")
-	}
-	big := randCSR(rng, 600, 600, 0.12)
-	if big.NNZ() < 1<<15 {
-		t.Fatalf("fixture under the parallel floor: nnz=%d", big.NNZ())
-	}
-	if got := kernel.New(big, kernel.Config{Workers: 4}).Layout(); got != "parallel" {
-		t.Fatalf("large matrix with workers=4 layout = %s, want parallel", got)
 	}
 }

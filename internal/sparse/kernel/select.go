@@ -19,15 +19,10 @@ const (
 type Config struct {
 	// Layout forces a specific storage layout; Auto applies the heuristic.
 	Layout Layout
-	// Workers wraps the chosen layout in the parallel row-partitioner when
-	// > 1 (or < 0 for GOMAXPROCS lanes) and the matrix is large enough to
-	// amortize the pool handoff. 0 and 1 stay sequential.
-	Workers int
 }
 
-// ParseConfig maps an -kernel / Options.Kernel spec to a Config. Accepted
-// specs: "" or "auto" (heuristic, sequential), "csr", "sell", "parallel"
-// (heuristic layout + GOMAXPROCS lanes).
+// ParseConfig maps a layout name to a Config. Accepted specs: "" or
+// "auto" (the heuristic), "csr" and "sell".
 func ParseConfig(spec string) (Config, error) {
 	switch spec {
 	case "", "auto":
@@ -36,10 +31,8 @@ func ParseConfig(spec string) (Config, error) {
 		return Config{Layout: ForceCSR}, nil
 	case "sell":
 		return Config{Layout: ForceSELL}, nil
-	case "parallel":
-		return Config{Workers: -1}, nil
 	default:
-		return Config{}, fmt.Errorf("kernel: unknown layout %q (want auto, csr, sell or parallel)", spec)
+		return Config{}, fmt.Errorf("kernel: unknown layout %q (want auto, csr or sell)", spec)
 	}
 }
 
@@ -59,10 +52,6 @@ const (
 func New(m *sparse.CSR, cfg Config) Matrix {
 	k := pick(m, cfg.Layout)
 	statSelected(k.Layout())
-	if w := cfg.Workers; (w > 1 || w < 0) && m.NNZ() >= minParallelNNZ {
-		k = NewParallel(k, m, w)
-		statSelected(layoutParallel)
-	}
 	return k
 }
 

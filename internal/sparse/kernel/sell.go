@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"math"
-	"sort"
 
 	"bear/internal/sparse"
 )
@@ -55,9 +54,14 @@ func NewSELL(m *sparse.CSR) *SELL {
 		for i := range order {
 			order[i] = int32(lo + i)
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return rowLen(order[a]) > rowLen(order[b])
-		})
+		// Stable insertion sort by descending length: a slice holds at
+		// most sellC rows, and sort.SliceStable's per-call setup would
+		// cost more than the sort itself.
+		for i := 1; i < len(order); i++ {
+			for j := i; j > 0 && rowLen(order[j]) > rowLen(order[j-1]); j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
+		}
 		width := 0
 		if len(order) > 0 {
 			width = rowLen(order[0])

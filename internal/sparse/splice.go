@@ -68,10 +68,18 @@ func (m *CSR) SpliceRows(splices []RowSplice) *CSR {
 			si++
 			continue
 		}
-		out.ColIdx = append(out.ColIdx, m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]]...)
-		out.Val = append(out.Val, m.Val[m.RowPtr[i]:m.RowPtr[i+1]]...)
-		out.RowPtr[i+1] = len(out.ColIdx)
-		i++
+		// Copy the kept rows up to the next splice as one run.
+		j := m.R
+		if si < len(splices) {
+			j = splices[si].Lo
+		}
+		shift := len(out.ColIdx) - m.RowPtr[i]
+		out.ColIdx = append(out.ColIdx, m.ColIdx[m.RowPtr[i]:m.RowPtr[j]]...)
+		out.Val = append(out.Val, m.Val[m.RowPtr[i]:m.RowPtr[j]]...)
+		for r := i; r < j; r++ {
+			out.RowPtr[r+1] = m.RowPtr[r+1] + shift
+		}
+		i = j
 	}
 	return out
 }
@@ -84,14 +92,12 @@ func (m *CSR) SpliceRows(splices []RowSplice) *CSR {
 // their stored entries bit-for-bit; within a row the result stays sorted
 // by column. The receiver is not modified.
 func (m *CSR) ReplaceColumns(cols []int, repl []Coord) *CSR {
-	inSet := func(j int) bool {
-		k := sort.SearchInts(cols, j)
-		return k < len(cols) && cols[k] == j
-	}
-	for i := 1; i < len(cols); i++ {
-		if cols[i-1] >= cols[i] {
+	replaced := make([]bool, m.C)
+	for i, j := range cols {
+		if i > 0 && cols[i-1] >= j {
 			panic(fmt.Sprintf("sparse: ReplaceColumns columns not sorted and unique at index %d", i))
 		}
+		replaced[j] = true
 	}
 	// Bucket the replacement entries by row, sorted by column within each.
 	byRow := make(map[int][]Coord, len(repl))
@@ -99,7 +105,7 @@ func (m *CSR) ReplaceColumns(cols []int, repl []Coord) *CSR {
 		if c.Row < 0 || c.Row >= m.R || c.Col < 0 || c.Col >= m.C {
 			panic(fmt.Sprintf("sparse: ReplaceColumns entry (%d,%d) outside %dx%d", c.Row, c.Col, m.R, m.C))
 		}
-		if !inSet(c.Col) {
+		if !replaced[c.Col] {
 			panic(fmt.Sprintf("sparse: ReplaceColumns entry in column %d, which is not being replaced", c.Col))
 		}
 		byRow[c.Row] = append(byRow[c.Row], c)
@@ -112,7 +118,12 @@ func (m *CSR) ReplaceColumns(cols []int, repl []Coord) *CSR {
 			}
 		}
 	}
-	out := &CSR{R: m.R, C: m.C, RowPtr: make([]int, m.R+1)}
+	out := &CSR{
+		R: m.R, C: m.C,
+		RowPtr: make([]int, m.R+1),
+		ColIdx: make([]int, 0, m.NNZ()+len(repl)),
+		Val:    make([]float64, 0, m.NNZ()+len(repl)),
+	}
 	for i := 0; i < m.R; i++ {
 		news := byRow[i]
 		ni := 0
@@ -123,7 +134,7 @@ func (m *CSR) ReplaceColumns(cols []int, repl []Coord) *CSR {
 				out.Val = append(out.Val, news[ni].Val)
 				ni++
 			}
-			if inSet(j) {
+			if replaced[j] {
 				continue // old contents of a replaced column
 			}
 			out.ColIdx = append(out.ColIdx, j)

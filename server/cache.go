@@ -64,31 +64,46 @@ func (e *entry) hasher(kind string) resultcache.Hasher {
 // one solve and share it; the winner's result is cached for later
 // requests. The returned status is the X-Cache header value
 // (hit|miss|coalesced).
-func (s *Server) cachedSolve(ctx context.Context, e *entry, hash uint64, top int, solve func(context.Context) ([]float64, error)) (*cachedResult, string, error) {
+func (s *Server) cachedSolve(ctx context.Context, e *entry, hash uint64, solve func(context.Context) (resultcache.Value, error)) (resultcache.Value, string, error) {
 	cache := s.resultCache()
 	key := resultcache.Key{Gen: e.gen, Epoch: e.dyn.Epoch(), Hash: hash}
 	sw := obsv.FromContext(ctx).Start(obsv.SpanCacheLookup)
 	v, ok := cache.Get(key)
 	sw.Stop()
 	if ok {
-		return v.(*cachedResult), "hit", nil
+		return v, "hit", nil
 	}
 	v, shared, err := s.flight.Do(ctx, key, func() (resultcache.Value, error) {
-		scores, err := solve(ctx)
+		v, err := solve(ctx)
 		if err != nil {
 			return nil, err
 		}
-		res := &cachedResult{scores: scores, results: topResults(scores, top)}
-		cache.Put(key, res)
-		return res, nil
+		cache.Put(key, v)
+		return v, nil
 	})
 	if err != nil {
 		return nil, "", err
 	}
 	if shared {
-		return v.(*cachedResult), "coalesced", nil
+		return v, "coalesced", nil
 	}
-	return v.(*cachedResult), "miss", nil
+	return v, "miss", nil
+}
+
+// cachedScores is cachedSolve for a solve that yields a full score vector,
+// cached together with its top-k slice.
+func (s *Server) cachedScores(ctx context.Context, e *entry, hash uint64, top int, solve func(context.Context) ([]float64, error)) (*cachedResult, string, error) {
+	v, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (resultcache.Value, error) {
+		scores, err := solve(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return &cachedResult{scores: scores, results: topResults(scores, top)}, nil
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	return v.(*cachedResult), status, nil
 }
 
 // maxBatchSeeds bounds one batch request; larger batches should be split

@@ -128,7 +128,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestCoalescedQueriesShareOneSolve drives cachedSolve directly with a
+// TestCoalescedQueriesShareOneSolve drives cachedScores directly with a
 // gated solver so the coalesced path is deterministic: N concurrent
 // identical requests must produce exactly one solve, one "miss", and N-1
 // "coalesced".
@@ -174,7 +174,7 @@ func TestCoalescedQueriesShareOneSolve(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, status, err := s.cachedSolve(context.Background(), e, hash, 10, solve(true))
+		_, status, err := s.cachedScores(context.Background(), e, hash, 10, solve(true))
 		if err != nil {
 			t.Errorf("leader: %v", err)
 		}
@@ -185,7 +185,7 @@ func TestCoalescedQueriesShareOneSolve(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, status, err := s.cachedSolve(context.Background(), e, hash, 10, solve(false))
+			_, status, err := s.cachedScores(context.Background(), e, hash, 10, solve(false))
 			if err != nil {
 				t.Errorf("waiter: %v", err)
 			}
@@ -205,7 +205,7 @@ func TestCoalescedQueriesShareOneSolve(t *testing.T) {
 		t.Fatalf("miss/coalesced = %d/%d, want 1/%d", misses, coalesced, waiters)
 	}
 	// The flight's result was cached: the next request is a plain hit.
-	if _, status, _ := s.cachedSolve(context.Background(), e, hash, 10, solve(false)); status != "hit" {
+	if _, status, _ := s.cachedScores(context.Background(), e, hash, 10, solve(false)); status != "hit" {
 		t.Fatalf("follow-up status = %q, want hit", status)
 	}
 }

@@ -6,6 +6,7 @@ package server
 // the result cache and the blocked multi-RHS batch solver.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -77,39 +78,21 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ctx, tr, debug := s.traceContext(ctx, r)
 	start := time.Now()
-	cache := s.resultCache()
-	key := resultcache.Key{
-		Gen:   e.gen,
-		Epoch: e.dyn.Epoch(),
-		Hash:  e.hasher("topk").Int(seed).Int(k).Sum(),
-	}
-	status := "hit"
-	sw := obsv.FromContext(ctx).Start(obsv.SpanCacheLookup)
-	v, ok := cache.Get(key)
-	sw.Stop()
-	if !ok {
-		var shared bool
-		v, shared, err = s.flight.Do(ctx, key, func() (resultcache.Value, error) {
-			res, err := e.dyn.QueryTopKCtx(ctx, seed, k)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]ScoredNode, len(res.Nodes))
-			for i, node := range res.Nodes {
-				out[i] = ScoredNode{Node: node, Score: res.Scores[i]}
-			}
-			c := &cachedTopK{results: out, fallback: res.Stats.Fallback}
-			cache.Put(key, c)
-			return c, nil
-		})
+	hash := e.hasher("topk").Int(seed).Int(k).Sum()
+	v, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (resultcache.Value, error) {
+		res, err := e.dyn.QueryTopKCtx(ctx, seed, k)
 		if err != nil {
-			writeError(w, queryError(err))
-			return
+			return nil, err
 		}
-		status = "miss"
-		if shared {
-			status = "coalesced"
+		out := make([]ScoredNode, len(res.Nodes))
+		for i, node := range res.Nodes {
+			out[i] = ScoredNode{Node: node, Score: res.Scores[i]}
 		}
+		return &cachedTopK{results: out, fallback: res.Stats.Fallback}, nil
+	})
+	if err != nil {
+		writeError(w, queryError(err))
+		return
 	}
 	res := v.(*cachedTopK)
 	s.logSlow("topk", name, fmt.Sprintf("seed=%d k=%d", seed, k),

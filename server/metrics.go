@@ -109,7 +109,7 @@ func (s *Server) metrics() *serverMetrics {
 			return float64(n)
 		})
 
-		// Kernel-layer layout/parallel-path counters, read live from
+		// Kernel-layer layout counters, read live from
 		// internal/sparse/kernel. Process-wide rather than per graph:
 		// layouts are chosen per matrix at preprocess/load time, and the
 		// hot-path counters are plain atomics with no graph dimension.
@@ -117,7 +117,7 @@ func (s *Server) metrics() *serverMetrics {
 			layout := layout
 			l := obsv.L("layout", layout)
 			reg.CounterFunc("bear_kernel_selected_total",
-				"Kernel matrices constructed, by storage layout ('parallel' counts wrappers around another layout). Shows what the auto heuristic or the -kernel override picked.",
+				"Kernel matrices constructed, by storage layout. Shows what the auto heuristic picked.",
 				func() uint64 { sel, _, _ := kernel.Stats(layout); return sel }, l)
 			reg.CounterFunc("bear_kernel_spmv_total",
 				"Kernel SpMV-family calls (full, row-ranged and column-ranged), by layout.",

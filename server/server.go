@@ -97,12 +97,6 @@ type Server struct {
 	// traces still work.
 	TraceSlow time.Duration
 
-	// DefaultKernel is the query-kernel layout spec applied to graphs
-	// registered over the API without an explicit ?kernel= choice: "" or
-	// "auto" (per-matrix heuristic), "csr", "sell", "parallel".
-	// Set from the bearserve -kernel flag; see internal/sparse/kernel.
-	DefaultKernel string
-
 	// DefaultOrdering is the reordering engine applied to graphs
 	// registered over the API without an explicit ?ordering= choice: ""
 	// or "slashburn" (the paper's), "mindeg". Set from the
@@ -412,12 +406,6 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Laplacian = lap
 	}
-	opts.Kernel = s.DefaultKernel
-	if v := q.Get("kernel"); v != "" {
-		// Validity is checked by Preprocess before any work happens, so an
-		// unknown layout comes back as a clean 400 below.
-		opts.Kernel = v
-	}
 	opts.Ordering = s.DefaultOrdering
 	if v := q.Get("ordering"); v != "" {
 		// Unknown engines are rejected by Preprocess up front → 400 below.
@@ -552,7 +540,7 @@ func (s *Server) refineOne(ctx context.Context, e *entry, q []float64, tol float
 	return dst, stats, nil
 }
 
-// refineSolve is refineOne without the stats, shaped for cachedSolve's
+// refineSolve is refineOne without the stats, shaped for cachedScores'
 // solve closure; it runs only on cache misses, so hits do not re-count.
 func (s *Server) refineSolve(ctx context.Context, e *entry, q []float64, tol float64) ([]float64, error) {
 	dst, _, err := s.refineOne(ctx, e, q, tol)
@@ -606,7 +594,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// must hit the same entries.
 	hash := e.hasher("query").Int(seed).Byte(ei).Float64(refine).Int(top).Sum()
 	start := time.Now()
-	res, status, err := s.cachedSolve(ctx, e, hash, top, func(ctx context.Context) ([]float64, error) {
+	res, status, err := s.cachedScores(ctx, e, hash, top, func(ctx context.Context) ([]float64, error) {
 		if useEI {
 			return e.dyn.Precomputed().QueryEffectiveImportanceCtx(ctx, seed)
 		}
@@ -656,7 +644,7 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 	ctx, tr, debug := s.traceContext(ctx, r)
 	hash := e.hasher("pagerank").Int(top).Sum()
 	start := time.Now()
-	res, status, err := s.cachedSolve(ctx, e, hash, top, func(ctx context.Context) ([]float64, error) {
+	res, status, err := s.cachedScores(ctx, e, hash, top, func(ctx context.Context) ([]float64, error) {
 		q := make([]float64, n)
 		for i := range q {
 			q[i] = 1 / float64(n)
@@ -768,7 +756,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	}
 	hash := h.Float64(refine).Int(top).Sum()
 	start := time.Now()
-	res, status, err := s.cachedSolve(ctx, e, hash, top, func(ctx context.Context) ([]float64, error) {
+	res, status, err := s.cachedScores(ctx, e, hash, top, func(ctx context.Context) ([]float64, error) {
 		if refine > 0 {
 			return s.refineSolve(ctx, e, q, refine)
 		}
