@@ -8,6 +8,7 @@ package bear_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"bear/internal/bench"
@@ -310,7 +311,7 @@ func BenchmarkDynamicQuery(b *testing.B) {
 }
 
 // BenchmarkQueryBatch measures batched multi-seed throughput at different
-// worker counts.
+// GOMAXPROCS settings, which bound QueryBatch's chunk fan-out.
 func BenchmarkQueryBatch(b *testing.B) {
 	// The caveman-with-hubs serving graph, not the scaled-down paper
 	// dataset: at bench scale the web graph's factors are a few hundred
@@ -336,10 +337,11 @@ func BenchmarkQueryBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N*len(seeds))/b.Elapsed().Seconds(), "seeds/s")
 	})
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, procs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for i := 0; i < b.N; i++ {
-				if _, err := p.QueryBatch(seeds, workers); err != nil {
+				if _, err := p.QueryBatch(seeds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -403,14 +405,15 @@ func BenchmarkQueryThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
-	b.Run("batch64/workers=4", func(b *testing.B) {
+	b.Run("batch64/procs=4", func(b *testing.B) {
 		seeds := make([]int, 64)
 		for i := range seeds {
 			seeds[i] = (i * 31) % g.N()
 		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.QueryBatch(seeds, 4); err != nil {
+			if _, err := p.QueryBatch(seeds); err != nil {
 				b.Fatal(err)
 			}
 		}

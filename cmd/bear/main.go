@@ -252,7 +252,7 @@ func cmdCandidates(args []string) error {
 		if hi > len(seeds) {
 			hi = len(seeds)
 		}
-		vecs, err := d.QueryBatch(seeds[lo:hi], 0)
+		vecs, err := d.QueryBatch(seeds[lo:hi])
 		if err != nil {
 			return err
 		}

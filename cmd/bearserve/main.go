@@ -49,7 +49,6 @@ func main() {
 	c := flag.Float64("c", 0, "restart probability (default 0.05)")
 	drop := flag.Float64("drop", 0, "drop tolerance ξ (0 = BEAR-Exact)")
 	rebuild := flag.Int("rebuild-threshold", 64, "auto-rebuild after this many updated nodes (0 = never)")
-	rebuildChurn := flag.Float64("rebuild-churn", 0, "max dirty-node fraction for incremental rebuilds before falling back to full (0 = default 0.10)")
 	maxConc := flag.Int("max-concurrent", 256, "in-flight request bound before load shedding (0 = unbounded)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline (0 = none)")
 	snapshot := flag.String("snapshot", "", "registry snapshot file: restored at boot, written on shutdown and POST /v1/snapshot")
@@ -65,7 +64,6 @@ func main() {
 
 	s := server.New()
 	s.RebuildThreshold = *rebuild
-	s.RebuildMaxChurn = *rebuildChurn
 	s.MaxConcurrent = *maxConc
 	s.QueryTimeout = *queryTimeout
 	s.SnapshotPath = *snapshot

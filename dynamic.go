@@ -14,8 +14,8 @@ var ErrRebuildInProgress = core.ErrRebuildInProgress
 
 // ErrIncrementalNotApplicable is returned when an explicitly requested
 // incremental rebuild is disqualified by the pending updates (hub dirtied,
-// churn over threshold, cross-block edge, missing rebuild cache, …); the
-// error message names the reason. RebuildAuto falls back instead.
+// cross-block edge, missing rebuild cache, …); the error message names the
+// reason. RebuildAuto falls back instead.
 var ErrIncrementalNotApplicable = core.ErrIncrementalNotApplicable
 
 // Dynamic wraps a preprocessed graph for incremental edge updates — the
@@ -50,7 +50,7 @@ type RebuildMode = core.RebuildMode
 
 const (
 	// RebuildAuto rebuilds incrementally when the pending updates qualify
-	// (spoke-only churn within policy thresholds) and falls back to a full
+	// (spoke-only churn within the fill budget) and falls back to a full
 	// pass otherwise, recording the reason in the RebuildReport.
 	RebuildAuto = core.RebuildAuto
 	// RebuildFull always re-runs the whole preprocessing pass, including a
@@ -64,10 +64,6 @@ const (
 // ParseRebuildMode validates a rebuild-mode string; the empty string
 // selects RebuildAuto.
 func ParseRebuildMode(s string) (RebuildMode, error) { return core.ParseRebuildMode(s) }
-
-// RebuildPolicy bounds when RebuildAuto takes the incremental path; see
-// Dynamic.SetRebuildPolicy.
-type RebuildPolicy = core.RebuildPolicy
 
 // RebuildReport describes one completed rebuild: the path that ran, the
 // fallback reason if auto mode declined the incremental path, and the

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,11 +35,22 @@ func TestDatasetByName(t *testing.T) {
 	}
 }
 
+// TestDatasetsDeterministic pins that every dataset builds the same graph,
+// edge for edge, on every call: the committed benchmark baselines are only
+// comparable across runs if the graphs are.
 func TestDatasetsDeterministic(t *testing.T) {
-	d, _ := DatasetByName("web")
-	a, b := d.Make(0.1), d.Make(0.1)
-	if a.N() != b.N() || a.M() != b.M() {
-		t.Fatal("dataset not deterministic")
+	for _, d := range append(Datasets(), RMATFamily(0.1)...) {
+		a, b := d.Make(0.1), d.Make(0.1)
+		if a.N() != b.N() || a.M() != b.M() {
+			t.Fatalf("%s: n=%d m=%d vs n=%d m=%d", d.Name, a.N(), a.M(), b.N(), b.M())
+		}
+		for u := 0; u < a.N(); u++ {
+			da, wa := a.Out(u)
+			db, wb := b.Out(u)
+			if !slices.Equal(da, db) || !slices.Equal(wa, wb) {
+				t.Fatalf("%s: node %d out-edges differ between builds", d.Name, u)
+			}
+		}
 	}
 }
 

@@ -91,3 +91,30 @@ func TestRatioGate(t *testing.T) {
 		t.Errorf("empty baselines: err = %v", err)
 	}
 }
+
+// TestCheckAutoChoice fails exactly the cells where auto picked the leg
+// that measured more than 10% slower, like the 20%-churn cells did when a
+// churn cap forced a full pass.
+func TestCheckAutoChoice(t *testing.T) {
+	results := []RebuildResult{
+		{Dataset: "a", Churn: 0.2, FullMs: 60, IncrMs: 20, AutoMode: "full", AutoFallback: "churn"},
+		{Dataset: "b", Churn: 0.2, FullMs: 60, IncrMs: 20, AutoMode: "incremental"},
+		{Dataset: "c", Churn: 0.5, FullMs: 20, IncrMs: 21, AutoMode: "incremental"},
+		{Dataset: "d", Churn: 0.5, FullMs: 20, IncrMs: 30, AutoMode: "incremental"},
+	}
+	err := checkAutoChoice(results)
+	if err == nil {
+		t.Fatal("checkAutoChoice passed a cell where auto picked the slower leg")
+	}
+	msg := err.Error()
+	for _, want := range []string{`a/0.2: auto picked full (fallback "churn")`, "d/0.5: auto picked incremental"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q lacks %q", msg, want)
+		}
+	}
+	for _, ok := range []string{"b/0.2", "c/0.5"} {
+		if strings.Contains(msg, ok) {
+			t.Errorf("error %q fails cell %s, whose auto choice is within 10%%", msg, ok)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -25,8 +26,8 @@ type RebuildResult struct {
 	IncrMs      float64 `json:"incremental_ms"`
 	Speedup     float64 `json:"speedup"`
 	// AutoMode/AutoFallback record what RebuildAuto picks for this dirty
-	// set under the default policy — the sweep is what justifies the
-	// default MaxChurnFraction.
+	// set; CheckRebuild fails when auto picks the leg that measured
+	// slower.
 	AutoMode     string `json:"auto_mode"`
 	AutoFallback string `json:"auto_fallback,omitempty"`
 }
@@ -42,9 +43,9 @@ type RebuildBaseline struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// rebuildChurnFractions is the dirty-fraction ladder: well below the
-// default auto threshold (0.10), at its edge, and far past it, where the
-// full path should win again.
+// rebuildChurnFractions is the dirty-fraction ladder, from a handful of
+// dirty nodes to half the graph, to find where (if anywhere) the full path
+// wins again.
 var rebuildChurnFractions = []float64{0.001, 0.01, 0.05, 0.20, 0.50}
 
 // rebuildSweepDatasets are the strongly hub-and-spoke ladder graphs —
@@ -85,13 +86,10 @@ func makeChurn(rng *rand.Rand, spokes, hubs []int, k int) []churnOp {
 // returning its report. Restoring (rather than reusing one Dynamic) is
 // what makes the full and incremental timings comparable: both legs start
 // from bit-identical pre-rebuild state.
-func rebuildOnce(g *graph.Graph, p *core.Precomputed, ops []churnOp, mode core.RebuildMode, pol *core.RebuildPolicy) (core.RebuildReport, error) {
+func rebuildOnce(g *graph.Graph, p *core.Precomputed, ops []churnOp, mode core.RebuildMode) (core.RebuildReport, error) {
 	dyn, err := core.RestoreDynamic(g, g, p, nil, core.Options{})
 	if err != nil {
 		return core.RebuildReport{}, err
-	}
-	if pol != nil {
-		dyn.SetRebuildPolicy(*pol)
 	}
 	for _, op := range ops {
 		if err := dyn.AddEdge(op.u, op.hub, op.w); err != nil {
@@ -118,10 +116,11 @@ func measureRebuildSweep(cfg Config, wanted func(dataset string, churn float64) 
 			return nil, err
 		}
 		g := d.Make(cfg.Scale)
-		p, err := core.Preprocess(g, core.Options{RetainRebuildCache: true})
+		dyn, err := core.NewDynamic(g, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("rebuild %s: %w", name, err)
 		}
+		p := dyn.Precomputed()
 		n := g.N()
 		var hubs, spokes []int
 		for u := 0; u < n; u++ {
@@ -146,18 +145,14 @@ func measureRebuildSweep(cfg Config, wanted func(dataset string, churn float64) 
 				k = len(spokes)
 			}
 			ops := makeChurn(rng, spokes, hubs, k)
-			// The explicit-mode legs run under an uncapped churn policy so
-			// the incremental mechanism is timed at every fraction — the
-			// point of the high-churn cells is to show where it loses.
-			uncapped := core.RebuildPolicy{MaxChurnFraction: 1, MaxFillRatio: math.Inf(1)}
 			fullMin, incrMin := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 			var incrRep core.RebuildReport
 			for r := 0; r < rounds; r++ {
-				repI, err := rebuildOnce(g, p, ops, core.RebuildIncremental, &uncapped)
+				repI, err := rebuildOnce(g, p, ops, core.RebuildIncremental)
 				if err != nil {
 					return nil, fmt.Errorf("rebuild %s churn %g (incremental): %w", name, f, err)
 				}
-				repF, err := rebuildOnce(g, p, ops, core.RebuildFull, nil)
+				repF, err := rebuildOnce(g, p, ops, core.RebuildFull)
 				if err != nil {
 					return nil, fmt.Errorf("rebuild %s churn %g (full): %w", name, f, err)
 				}
@@ -168,9 +163,9 @@ func measureRebuildSweep(cfg Config, wanted func(dataset string, churn float64) 
 					fullMin = repF.TimeTotal
 				}
 			}
-			// One auto probe under the default policy records which path
-			// auto actually takes at this churn level.
-			repA, err := rebuildOnce(g, p, ops, core.RebuildAuto, nil)
+			// One auto probe records which path auto actually takes at this
+			// churn level.
+			repA, err := rebuildOnce(g, p, ops, core.RebuildAuto)
 			if err != nil {
 				return nil, fmt.Errorf("rebuild %s churn %g (auto): %w", name, f, err)
 			}
@@ -201,7 +196,7 @@ func RunRebuild(cfg Config) ([]*Table, error) {
 	}
 	t := &Table{
 		Title:   "Rebuild paths: full re-preprocess vs incremental dirty-block surgery",
-		Note:    "interleaved min-of-3 per leg from identical pre-rebuild state; auto column is the default-policy decision",
+		Note:    "interleaved min-of-3 per leg from identical pre-rebuild state; auto column is RebuildAuto's decision",
 		Headers: []string{"dataset", "churn", "dirty", "blocks", "full_ms", "incr_ms", "speedup", "auto"},
 	}
 	for _, r := range results {
@@ -220,10 +215,13 @@ func RunRebuild(cfg Config) ([]*Table, error) {
 // CheckRebuild re-measures the committed (dataset, churn) cells and
 // compares them against the baselines in BENCH_rebuild.json (bearbench
 // -exp rebuild -baseline FILE): any cell whose measured speedup falls
-// below 80% of its committed speedup fails the gate. Only the committed
-// cells are re-measured, so the gate skips the expensive high-churn tail.
+// below 80% of its committed speedup fails the gate, and so does any cell
+// where auto mode picked the leg that measured slower (see
+// checkAutoChoice). Only the committed cells are re-measured, so the gate
+// skips the expensive 50%-churn tail.
 func CheckRebuild(cfg Config, baselinePath string) error {
-	return ratioGate[RebuildBaseline, RebuildResult]{
+	var results []RebuildResult
+	err := ratioGate[RebuildBaseline, RebuildResult]{
 		what:        "rebuild",
 		baselineKey: func(b RebuildBaseline) string { return rebuildCellKey(b.Dataset, b.Churn) },
 		resultKey:   func(r RebuildResult) string { return rebuildCellKey(r.Dataset, r.Churn) },
@@ -235,10 +233,40 @@ func CheckRebuild(cfg Config, baselinePath string) error {
 		for _, b := range bs {
 			want[rebuildCellKey(b.Dataset, b.Churn)] = true
 		}
-		return measureRebuildSweep(cfg, func(dataset string, churn float64) bool {
+		rs, err := measureRebuildSweep(cfg, func(dataset string, churn float64) bool {
 			return want[rebuildCellKey(dataset, churn)]
 		})
+		results = rs
+		return rs, err
 	})
+	return errors.Join(err, checkAutoChoice(results))
+}
+
+// autoSlack is how much slower than the other leg auto's choice may
+// measure before checkAutoChoice fails it: the legs are min-of-3 timings
+// on a shared host, so near-ties are not a wrong decision.
+const autoSlack = 1.10
+
+// checkAutoChoice fails every cell whose auto mode is the leg that
+// measured more than autoSlack times slower than the other one.
+func checkAutoChoice(results []RebuildResult) error {
+	var failures []error
+	for _, r := range results {
+		var chosen, other float64
+		switch core.RebuildMode(r.AutoMode) {
+		case core.RebuildFull:
+			chosen, other = r.FullMs, r.IncrMs
+		case core.RebuildIncremental:
+			chosen, other = r.IncrMs, r.FullMs
+		default:
+			continue
+		}
+		if chosen > autoSlack*other {
+			failures = append(failures, fmt.Errorf("%s: auto picked %s (fallback %q) at %.2f ms, slower than the other leg's %.2f ms by more than %.0f%%",
+				rebuildCellKey(r.Dataset, r.Churn), r.AutoMode, r.AutoFallback, chosen, other, 100*(autoSlack-1)))
+		}
+	}
+	return errors.Join(failures...)
 }
 
 func rebuildCellKey(dataset string, churn float64) string {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"bear/internal/graph/gen"
+	"bear/internal/sparse"
 )
 
 func cosine(a, b []float64) float64 {
@@ -147,22 +149,40 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestDenseVsSparseSchurPathsAgree factors one assembled Schur complement
+// both ways — dense partial-pivoted LU (cutoff above n₂) and sparse
+// no-pivot LU (cutoff below it) — and checks both factorizations solve
+// S x = b to the same answer.
 func TestDenseVsSparseSchurPathsAgree(t *testing.T) {
 	g := gen.RMAT(gen.NewRMATPul(300, 1800, 0.6, 25))
-	dense, err := Preprocess(g, Options{K: 3, DenseSchurCutoff: 1 << 20})
+	p, err := preprocessCtx(context.Background(), g, Options{K: 3}, true)
 	if err != nil {
-		t.Fatalf("dense path: %v", err)
+		t.Fatalf("preprocess: %v", err)
 	}
-	sparsePath, err := Preprocess(g, Options{K: 3, DenseSchurCutoff: 1})
-	if err != nil {
-		t.Fatalf("sparse path: %v", err)
+	if p.N2 <= 1 {
+		t.Fatalf("n2 = %d: needs more than one hub to exercise the Schur factorization", p.N2)
 	}
-	if dense.N2 <= 1 {
-		t.Skip("needs more than one hub to exercise the Schur factorization")
+	s := sparse.Sub(p.incr.h22, sparse.Mul(p.H21, p.incr.t2)).Prune()
+	b := make([]float64, p.N2)
+	for i := range b {
+		b[i] = float64(i%7) - 3
 	}
-	rd, _ := dense.Query(17)
-	rs, _ := sparsePath.Query(17)
-	if d := maxAbsDiff(rd, rs); d > 1e-9 {
+	solve := func(cutoff int) []float64 {
+		l2inv, u2inv, sperm, err := factorSchur(s, cutoff)
+		if err != nil {
+			t.Fatalf("factorSchur(cutoff=%d): %v", cutoff, err)
+		}
+		pb := append([]float64(nil), b...)
+		for i := range sperm {
+			pb[i] = b[sperm[i]]
+		}
+		x := u2inv.MulVec(l2inv.MulVec(pb))
+		if d := maxAbsDiff(s.MulVec(x), b); d > 1e-9 {
+			t.Fatalf("cutoff=%d: residual |Sx-b| = %g", cutoff, d)
+		}
+		return x
+	}
+	if d := maxAbsDiff(solve(1<<20), solve(1)); d > 1e-9 {
 		t.Fatalf("Schur paths disagree by %g", d)
 	}
 }

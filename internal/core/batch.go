@@ -8,13 +8,13 @@ import (
 )
 
 // QueryBatch computes RWR vectors for many seeds, fanning blocked
-// multi-RHS chunks out over workers goroutines (0 selects GOMAXPROCS).
-// Results are indexed like seeds and bit-identical to Query on each seed.
+// multi-RHS chunks out over min(GOMAXPROCS, chunks) goroutines. Results
+// are indexed like seeds and bit-identical to Query on each seed.
 // Precomputed is read-only during queries, so the workers share it without
 // locking; each worker holds one BatchWorkspace for its whole share of the
 // batch, so the only per-query allocation is the result vector.
-func (p *Precomputed) QueryBatch(seeds []int, workers int) ([][]float64, error) {
-	return p.QueryBatchCtx(context.Background(), seeds, workers)
+func (p *Precomputed) QueryBatch(seeds []int) ([][]float64, error) {
+	return p.QueryBatchCtx(context.Background(), seeds)
 }
 
 // QueryBatchCtx is QueryBatch honoring cancellation and deadlines on ctx:
@@ -25,7 +25,7 @@ func (p *Precomputed) QueryBatch(seeds []int, workers int) ([][]float64, error) 
 // Seeds are reordered internally so that seeds sharing a diagonal block
 // land in the same multi-RHS chunk (see QueryBatchTo); the returned slice
 // is still indexed like seeds.
-func (p *Precomputed) QueryBatchCtx(ctx context.Context, seeds []int, workers int) ([][]float64, error) {
+func (p *Precomputed) QueryBatchCtx(ctx context.Context, seeds []int) ([][]float64, error) {
 	for _, s := range seeds {
 		if s < 0 || s >= p.N {
 			return nil, fmt.Errorf("core: seed %d out of range [0,%d)", s, p.N)
@@ -42,13 +42,7 @@ func (p *Precomputed) QueryBatchCtx(ctx context.Context, seeds []int, workers in
 	// Group same-block seeds into chunks of the batch width; each chunk is
 	// one independent blocked solve, so chunks parallelize cleanly.
 	nb := p.batchWidth()
-	nchunks := (len(seeds) + nb - 1) / nb
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nchunks {
-		workers = nchunks
-	}
+	workers := min(runtime.GOMAXPROCS(0), (len(seeds)+nb-1)/nb)
 	if workers <= 1 {
 		if err := p.QueryBatchTo(ctx, out, seeds, nil); err != nil {
 			return nil, err

@@ -13,20 +13,22 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Preprocess: %v", err)
 	}
-	seeds := []int{0, 17, 42, 100, 250, 399, 42}
-	batch, err := p.QueryBatch(seeds, 4)
-	if err != nil {
-		t.Fatalf("QueryBatch: %v", err)
-	}
-	for i, s := range seeds {
-		want, err := p.Query(s)
+	seeds := moreThanOneChunk(p, []int{0, 17, 42, 100, 250, 399, 42})
+	forEachGOMAXPROCS(func(procs int) {
+		batch, err := p.QueryBatch(seeds)
 		if err != nil {
-			t.Fatalf("Query(%d): %v", s, err)
+			t.Fatalf("QueryBatch(GOMAXPROCS=%d): %v", procs, err)
 		}
-		if d := maxAbsDiff(batch[i], want); d != 0 {
-			t.Fatalf("batch result %d differs by %g", i, d)
+		for i, s := range seeds {
+			want, err := p.Query(s)
+			if err != nil {
+				t.Fatalf("Query(%d): %v", s, err)
+			}
+			if d := maxAbsDiff(batch[i], want); d != 0 {
+				t.Fatalf("GOMAXPROCS=%d: batch result %d differs by %g", procs, i, d)
+			}
 		}
-	}
+	})
 }
 
 func TestQueryBatchValidatesSeeds(t *testing.T) {
@@ -35,10 +37,10 @@ func TestQueryBatchValidatesSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Preprocess: %v", err)
 	}
-	if _, err := p.QueryBatch([]int{0, 25}, 2); err == nil {
+	if _, err := p.QueryBatch([]int{0, 25}); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
-	out, err := p.QueryBatch(nil, 4)
+	out, err := p.QueryBatch(nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(out))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"bear/internal/graph/gen"
@@ -37,10 +38,11 @@ func TestQueryBatchBitIdenticalAcrossVariants(t *testing.T) {
 				for i := len(base) - 1; i >= 0; i-- {
 					seeds = append(seeds, base[i])
 				}
-				for _, workers := range []int{1, 3} {
-					batch, err := p.QueryBatch(seeds, workers)
+				seeds = moreThanOneChunk(p, seeds)
+				forEachGOMAXPROCS(func(procs int) {
+					batch, err := p.QueryBatch(seeds)
 					if err != nil {
-						t.Fatalf("QueryBatch(workers=%d): %v", workers, err)
+						t.Fatalf("QueryBatch(GOMAXPROCS=%d): %v", procs, err)
 					}
 					for i, seed := range seeds {
 						want, err := p.Query(seed)
@@ -48,12 +50,34 @@ func TestQueryBatchBitIdenticalAcrossVariants(t *testing.T) {
 							t.Fatalf("Query(%d): %v", seed, err)
 						}
 						assertBitIdentical(t, batch[i], want,
-							fmt.Sprintf("workers=%d batch[%d] (seed %d)", workers, i, seed))
+							fmt.Sprintf("GOMAXPROCS=%d batch[%d] (seed %d)", procs, i, seed))
 					}
-				}
+				})
 			})
 		}
 	}
+}
+
+// forEachGOMAXPROCS runs f under GOMAXPROCS 1 and 4, restoring the setting
+// afterwards. With more seeds than the batch width, 1 takes QueryBatchCtx's
+// sequential path and 4 its chunk fan-out.
+func forEachGOMAXPROCS(f func(procs int)) {
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(procs)
+		}()
+	}
+}
+
+// moreThanOneChunk repeats seeds until they exceed one multi-RHS chunk, so
+// the fan-out has chunks to spread.
+func moreThanOneChunk(p *Precomputed, seeds []int) []int {
+	out := append([]int(nil), seeds...)
+	for len(out) <= p.batchWidth() {
+		out = append(out, seeds...)
+	}
+	return out
 }
 
 // TestQueryBatchToReusesWorkspace drives QueryBatchTo directly with a
@@ -108,20 +132,22 @@ func TestDynamicQueryBatchMatchesPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDynamic: %v", err)
 	}
-	seeds := []int{0, 7, 31, 64, 99, 7}
+	seeds := moreThanOneChunk(d.Precomputed(), []int{0, 7, 31, 64, 99, 7})
 	check := func(stage string) {
 		t.Helper()
-		batch, err := d.QueryBatch(seeds, 2)
-		if err != nil {
-			t.Fatalf("%s: QueryBatch: %v", stage, err)
-		}
-		for i, s := range seeds {
-			want, err := d.Query(s)
+		forEachGOMAXPROCS(func(procs int) {
+			batch, err := d.QueryBatch(seeds)
 			if err != nil {
-				t.Fatalf("%s: Query(%d): %v", stage, s, err)
+				t.Fatalf("%s: QueryBatch(GOMAXPROCS=%d): %v", stage, procs, err)
 			}
-			assertBitIdentical(t, batch[i], want, fmt.Sprintf("%s seed %d", stage, s))
-		}
+			for i, s := range seeds {
+				want, err := d.Query(s)
+				if err != nil {
+					t.Fatalf("%s: Query(%d): %v", stage, s, err)
+				}
+				assertBitIdentical(t, batch[i], want, fmt.Sprintf("%s GOMAXPROCS=%d seed %d", stage, procs, s))
+			}
+		})
 	}
 	check("clean")
 	if err := d.AddEdge(3, 64, 2.5); err != nil {

@@ -58,10 +58,6 @@ type Options struct {
 	// adjacency Ã to the normalized graph Laplacian D⁻¹ᐟ²AD⁻¹ᐟ²
 	// (Section 3.4, "RWR with normalized graph Laplacian").
 	Laplacian bool
-	// DenseSchurCutoff is the largest hub count n₂ for which the Schur
-	// complement is factored with dense partial-pivoted LU; larger Schur
-	// complements use sparse no-pivot LU. Zero selects the default.
-	DenseSchurCutoff int
 	// NoHubOrder disables line 7 of Algorithm 1 (reordering hubs by their
 	// degree in S before factoring it). Exactness is unaffected; the
 	// factors of S just fill in more. Exposed for the ablation experiment
@@ -74,17 +70,6 @@ type Options struct {
 	// extra copy of |H| ≈ |E| nonzeros in memory and in the precompute
 	// file.
 	KeepH bool
-	// RetainRebuildCache keeps the Schur-assembly intermediates
-	// (U₁⁻¹L₁⁻¹H₁₂ and H₂₂, in the final hub order) alongside the factors,
-	// which is what the incremental rebuild path needs to patch
-	// S = H₂₂ − H₂₁·(U₁⁻¹L₁⁻¹H₁₂) without re-running the full assembly.
-	// Dynamic forces it on for its own preprocessing passes; static
-	// consumers leave it off and pay no extra memory. The cache is derived
-	// state: it is never serialized (a loaded index falls back to one full
-	// rebuild, which repopulates it) and never counted by Bytes(). It is
-	// only retained for exact indexes (DropTol == 0) on the row-normalized
-	// transition matrix — the two preconditions of incremental rebuilds.
-	RetainRebuildCache bool
 }
 
 func (o Options) withDefaults() Options {
@@ -93,9 +78,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HubRatio == 0 {
 		o.HubRatio = DefaultHubRatio
-	}
-	if o.DenseSchurCutoff == 0 {
-		o.DenseSchurCutoff = DefaultDenseSchurCutoff
 	}
 	return o
 }
@@ -171,9 +153,9 @@ type Precomputed struct {
 	// incr caches the Schur-assembly intermediates the incremental rebuild
 	// path patches instead of recomputing: t2 = U₁⁻¹L₁⁻¹H₁₂ (n₁×n₂, rows
 	// partitioned by the diagonal blocks of H₁₁) and h22 (n₂×n₂), both in
-	// the final hub order. Retained only when preprocessing ran with
-	// Options.RetainRebuildCache on an exact, row-normalized index; nil
-	// otherwise (and after Load — the cache is derived, never serialized).
+	// the final hub order. Retained only for the preprocessing passes of a
+	// Dynamic on an exact, row-normalized index; nil otherwise (and after
+	// Load — the cache is derived, never serialized).
 	incr *rebuildCache
 
 	// kern holds the kernel-layer views of the factor matrices through
@@ -249,27 +231,27 @@ func (p *Precomputed) KernelLayouts() map[string]string {
 // (the split Figure 8 of the paper reports) are recorded into the
 // obsv.Trace carried by ctx, if any.
 func PreprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precomputed, error) {
-	p, err := preprocessCtx(ctx, g, opts)
-	if err != nil {
-		return nil, err
-	}
-	if tr := obsv.FromContext(ctx); tr != nil {
-		tr.Add(obsv.SpanOrdering, p.Stats.TimeOrdering)
-		tr.Add(obsv.SpanBlockLU, p.Stats.TimeLU1)
-		tr.Add(obsv.SpanSchurAssembly, p.Stats.TimeSchur)
-		tr.Add(obsv.SpanSchurFactor, p.Stats.TimeLU2)
-	}
-	return p, nil
+	return preprocessCtx(ctx, g, opts, false)
 }
 
 // Preprocess runs Algorithm 1 of the paper on g without a cancellation
 // point; it is PreprocessCtx with a background context.
 func Preprocess(g *graph.Graph, opts Options) (*Precomputed, error) {
-	return preprocessCtx(context.Background(), g, opts)
+	return preprocessCtx(context.Background(), g, opts, false)
 }
 
-// preprocessCtx runs Algorithm 1, polling ctx between stages.
-func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precomputed, error) {
+// preprocessCtx runs Algorithm 1, polling ctx between stages and recording
+// the per-stage timings into the obsv.Trace carried by ctx, if any.
+//
+// retainCache keeps the Schur-assembly intermediates (U₁⁻¹L₁⁻¹H₁₂ and H₂₂,
+// in the final hub order) alongside the factors, which is what the
+// incremental rebuild path needs to patch S = H₂₂ − H₂₁·(U₁⁻¹L₁⁻¹H₁₂)
+// without re-running the full assembly. Only a Dynamic's own passes set
+// it; a static index pays no extra memory. The cache is derived state:
+// never serialized and never counted by Bytes(). It is only retained for
+// exact indexes (DropTol == 0) on the row-normalized transition matrix —
+// the two preconditions of incremental rebuilds.
+func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options, retainCache bool) (*Precomputed, error) {
 	opts = opts.withDefaults()
 	if opts.C <= 0 || opts.C >= 1 {
 		return nil, fmt.Errorf("core: restart probability %g outside (0,1)", opts.C)
@@ -402,7 +384,7 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 
 	// Line 8: LU-decompose S and invert the factors.
 	tlu2 := time.Now()
-	l2inv, u2inv, sperm, err := factorSchur(s, opts.DenseSchurCutoff)
+	l2inv, u2inv, sperm, err := factorSchur(s, DefaultDenseSchurCutoff)
 	if err != nil {
 		return nil, fmt.Errorf("core: factoring Schur complement: %w", err)
 	}
@@ -425,7 +407,7 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 	// the per-entry accumulation order, so the cached t2 is bit-identical
 	// to recomputing it from the reordered H₁₂ — the property the
 	// incremental-vs-pinned-full equivalence test pins down.
-	if opts.RetainRebuildCache && opts.DropTol == 0 && !opts.Laplacian {
+	if retainCache && opts.DropTol == 0 && !opts.Laplacian {
 		rc := &rebuildCache{t2: t2, h22: h22}
 		if p.N2 == 0 {
 			rc.t2 = sparse.NewCSR(n1, 0, nil)
@@ -472,6 +454,12 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 		TimeSchur:     timeSchur,
 		TimeLU2:       timeLU2,
 		TimeTotal:     time.Since(start),
+	}
+	if tr := obsv.FromContext(ctx); tr != nil {
+		tr.Add(obsv.SpanOrdering, timeOrdering)
+		tr.Add(obsv.SpanBlockLU, timeLU1)
+		tr.Add(obsv.SpanSchurAssembly, timeSchur)
+		tr.Add(obsv.SpanSchurFactor, timeLU2)
 	}
 	return p, nil
 }

@@ -88,11 +88,10 @@ type Dynamic struct {
 	// key on it — see Epoch.
 	epoch uint64
 
-	// Incremental-rebuild bookkeeping: the auto-mode thresholds, the last
-	// completed rebuild's report, and the precomputed NNZ as of the last
-	// full build (the fill-ratio baseline — incremental rebuilds reuse a
-	// stale ordering, so their factors may slowly densify).
-	policy      RebuildPolicy
+	// Incremental-rebuild bookkeeping: the last completed rebuild's report
+	// and the precomputed NNZ as of the last full build (the fill-ratio
+	// baseline — incremental rebuilds reuse a stale ordering, so their
+	// factors may slowly densify).
 	lastRebuild *RebuildReport
 	lastFullNNZ int64
 }
@@ -109,8 +108,7 @@ func NewDynamicCtx(ctx context.Context, g *graph.Graph, opts Options) (*Dynamic,
 	// Schur-assembly cache that makes incremental rebuilds possible
 	// (preprocessCtx still skips it when the index shape disqualifies the
 	// incremental path, e.g. DropTol > 0).
-	opts.RetainRebuildCache = true
-	p, err := PreprocessCtx(ctx, g, opts)
+	p, err := preprocessCtx(ctx, g, opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -545,8 +543,8 @@ func (d *Dynamic) QueryCtx(ctx context.Context, seed int) ([]float64, error) {
 
 // QueryBatch computes exact RWR vectors for many seeds on the current
 // graph; results are indexed like seeds.
-func (d *Dynamic) QueryBatch(seeds []int, workers int) ([][]float64, error) {
-	return d.QueryBatchCtx(context.Background(), seeds, workers)
+func (d *Dynamic) QueryBatch(seeds []int) ([][]float64, error) {
+	return d.QueryBatchCtx(context.Background(), seeds)
 }
 
 // QueryBatchCtx is QueryBatch honoring cancellation and deadlines on ctx.
@@ -554,7 +552,7 @@ func (d *Dynamic) QueryBatch(seeds []int, workers int) ([][]float64, error) {
 // traversal per chunk of seeds, bit-identical to per-seed Query); with
 // pending updates it falls back to per-seed Woodbury-corrected queries,
 // since the rank-k correction is per-vector anyway.
-func (d *Dynamic) QueryBatchCtx(ctx context.Context, seeds []int, workers int) ([][]float64, error) {
+func (d *Dynamic) QueryBatchCtx(ctx context.Context, seeds []int) ([][]float64, error) {
 	d.mu.RLock()
 	p, clean := d.p, len(d.dirty) == 0
 	d.mu.RUnlock()
@@ -563,7 +561,7 @@ func (d *Dynamic) QueryBatchCtx(ctx context.Context, seeds []int, workers int) (
 		// state captured above even if updates or a rebuild swap land
 		// mid-batch (the same guarantee per-seed queries give: results
 		// reflect the graph as of when the query began).
-		return p.QueryBatchCtx(ctx, seeds, workers)
+		return p.QueryBatchCtx(ctx, seeds)
 	}
 	out := make([][]float64, len(seeds))
 	for i, s := range seeds {

@@ -40,8 +40,10 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 	e.f64(opts.DropTol)
 	e.f64(opts.HubRatio)
 	e.i64(int64(opts.K))
-	e.i64(int64(opts.DenseSchurCutoff))
-	e.i64(0) // retired Workers slot, kept so the byte layout stays BEARDY03
+	// Retired DenseSchurCutoff and Workers slots, kept so the byte layout
+	// stays BEARDY03.
+	e.i64(0)
+	e.i64(0)
 	e.bool(opts.Laplacian)
 	e.bool(opts.NoHubOrder)
 	e.bool(opts.KeepH)
@@ -78,7 +80,7 @@ func LoadDynamic(r io.Reader) (*Dynamic, error) {
 	opts.DropTol = d.f64()
 	opts.HubRatio = d.f64()
 	opts.K = int(d.i64())
-	opts.DenseSchurCutoff = int(d.i64())
+	d.i64() // retired DenseSchurCutoff slot
 	d.i64() // retired Workers slot
 	opts.Laplacian = d.bool()
 	opts.NoHubOrder = d.bool()
@@ -160,12 +162,10 @@ func RestoreDynamic(base, cur *graph.Graph, p *Precomputed, dirty []int, opts Op
 			overlay[u] = nodeRow{dst: dst, w: w}
 		}
 	}
-	// Future rebuilds of the restored index should retain the
-	// Schur-assembly cache like a freshly constructed Dynamic would. The
-	// supplied Precomputed itself usually lacks the cache (it is derived
-	// state and never serialized), so the first auto rebuild falls back to
-	// full — recorded as no_cache — and repopulates it.
-	opts.RetainRebuildCache = true
+	// The supplied Precomputed usually lacks the Schur-assembly cache (it
+	// is derived state and never serialized), so the first auto rebuild
+	// falls back to full — recorded as no_cache — and repopulates it, as
+	// every rebuild of a Dynamic does.
 	return &Dynamic{base: base, curCache: cur, overlay: overlay, p: p, opts: opts, dirty: dirty,
 		lastFullNNZ: p.NNZ()}, nil
 }

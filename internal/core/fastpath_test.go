@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -13,7 +14,7 @@ import (
 )
 
 // generalQuery computes a seed query through the unrestricted solver,
-// bypassing the single-seed dispatch in solveTo. It is the reference the
+// bypassing the single-seed dispatch in solveToCtx. It is the reference the
 // fast path must match bit-for-bit.
 func generalQuery(p *Precomputed, q []float64) []float64 {
 	dst := make([]float64, p.N)
@@ -246,6 +247,9 @@ func TestConcurrentBatchAndQueryToRace(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = (i * 11) % p.N
 	}
+	// Two chunks of seeds fan out to two goroutines whatever the host's
+	// CPU count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for w := 0; w < 8; w++ {
@@ -254,7 +258,7 @@ func TestConcurrentBatchAndQueryToRace(t *testing.T) {
 			defer wg.Done()
 			if w%2 == 0 {
 				for rep := 0; rep < 5; rep++ {
-					if _, err := p.QueryBatch(seeds, 3); err != nil {
+					if _, err := p.QueryBatch(seeds); err != nil {
 						errs <- err
 						return
 					}

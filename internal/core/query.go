@@ -52,26 +52,11 @@ func (p *Precomputed) QueryDistTo(dst, q []float64, ws *Workspace) error {
 	return p.QueryDistToCtx(context.Background(), dst, q, ws)
 }
 
-// solve computes H⁻¹ b by block elimination (Algorithm 2 without the c
-// scaling), for an arbitrary right-hand side indexed by graph node id. It
-// is the primitive both QueryDist and the Woodbury update layer build on.
-func (p *Precomputed) solve(b []float64) []float64 {
-	r := make([]float64, p.N)
-	ws := p.AcquireWorkspace()
-	p.solveTo(r, b, ws)
-	p.ReleaseWorkspace(ws)
-	return r
-}
-
-// solveTo computes H⁻¹ b into dst using ws for every intermediate, so it
-// performs no heap allocations. A right-hand side with exactly one nonzero
-// dispatches to the block-restricted single-seed path; the results are
-// bit-identical to the general path either way.
-func (p *Precomputed) solveTo(dst, b []float64, ws *Workspace) {
-	// context.Background is never cancelled, so the error is always nil.
-	_ = p.solveToCtx(context.Background(), dst, b, ws)
-}
-
+// solveToCtx computes H⁻¹ b into dst by block elimination (Algorithm 2
+// without the c scaling), for an arbitrary right-hand side indexed by graph
+// node id, using ws for every intermediate. A right-hand side with exactly
+// one nonzero dispatches to the block-restricted single-seed path; the
+// results are bit-identical to the general path either way.
 func (p *Precomputed) solveToCtx(ctx context.Context, dst, b []float64, ws *Workspace) error {
 	support := -1
 	for i, v := range b {

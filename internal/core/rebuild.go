@@ -24,8 +24,8 @@ type RebuildMode string
 
 const (
 	// RebuildAuto picks incrementally when the pending updates qualify
-	// (spoke-only, within the churn and fill budgets) and falls back to a
-	// full pass otherwise, recording the reason.
+	// (spoke-only, within the fill budget) and falls back to a full pass
+	// otherwise, recording the reason.
 	RebuildAuto RebuildMode = "auto"
 	// RebuildFull always re-runs Algorithm 1 from scratch: a fresh run of
 	// the configured ordering engine, every block re-factored. Restores
@@ -59,7 +59,8 @@ const (
 	FallbackNoPending = "no_pending"
 	// FallbackNoCache: the Schur-assembly cache is absent — the index was
 	// loaded from disk (the cache is derived state and never serialized)
-	// or preprocessed without Options.RetainRebuildCache.
+	// or restored around a Precomputed from Preprocess, which never
+	// retains it.
 	FallbackNoCache = "no_cache"
 	// FallbackDropTol: BEAR-Approx indexes drop factor entries after the
 	// Schur assembly, so the retained intermediates no longer match the
@@ -76,37 +77,17 @@ const (
 	// block, which would put a nonzero outside the block diagonal of H₁₁
 	// under the reused partition.
 	FallbackCrossBlock = "cross_block"
-	// FallbackChurn: the dirty fraction exceeds RebuildPolicy
-	// .MaxChurnFraction; a full pass is cheaper or the ordering is stale.
-	FallbackChurn = "churn"
 	// FallbackFillRatio: accumulated incremental rebuilds inflated the
-	// factor nonzeros past RebuildPolicy.MaxFillRatio times the last full
-	// build — the reused ordering has degraded, so re-run the engine.
+	// factor nonzeros past maxFillRatio times the last full build — the
+	// reused ordering has degraded, so re-run the engine.
 	FallbackFillRatio = "fill_ratio"
 )
 
-// RebuildPolicy bounds when RebuildAuto takes the incremental path.
-type RebuildPolicy struct {
-	// MaxChurnFraction is the largest dirty-node fraction (dirty / n)
-	// rebuilt incrementally; above it auto falls back to a full pass.
-	// Zero selects the default 0.10 — the churn sweep in BENCH_rebuild.json
-	// shows incremental winning comfortably below that.
-	MaxChurnFraction float64
-	// MaxFillRatio is the largest factor-nonzero inflation (current
-	// precomputed NNZ over the last full build's) tolerated before auto
-	// forces a full pass to refresh the ordering. Zero selects 2.0.
-	MaxFillRatio float64
-}
-
-func (p RebuildPolicy) withDefaults() RebuildPolicy {
-	if p.MaxChurnFraction == 0 {
-		p.MaxChurnFraction = 0.10
-	}
-	if p.MaxFillRatio == 0 {
-		p.MaxFillRatio = 2.0
-	}
-	return p
-}
+// maxFillRatio is the largest factor-nonzero inflation (current
+// precomputed NNZ over the last full build's) auto mode tolerates before
+// forcing a full pass: incremental rebuilds reuse the ordering, so a
+// stale one shows as fill, and a fresh run of the engine restores it.
+const maxFillRatio = 2.0
 
 // RebuildReport describes one completed rebuild: which path ran, why auto
 // fell back (if it did), and the per-stage split. Incremental rebuilds
@@ -134,7 +115,7 @@ type RebuildReport struct {
 }
 
 // rebuildCache holds the Schur-assembly intermediates retained for the
-// incremental path; see Options.RetainRebuildCache.
+// incremental path; see preprocessCtx.
 type rebuildCache struct {
 	t2  *sparse.CSR // U₁⁻¹L₁⁻¹H₁₂, n₁×n₂, final hub order
 	h22 *sparse.CSR // n₂×n₂, final hub order
@@ -146,23 +127,6 @@ type rebuildCache struct {
 type incrPlan struct {
 	blocks   []int // dirty block indices, ascending
 	dirtyPos []int // dirty spoke positions, ascending
-}
-
-// SetRebuildPolicy replaces the auto-mode thresholds; zero fields select
-// the defaults. The policy is serving configuration, not index state — it
-// is not serialized and resets to defaults on load.
-func (d *Dynamic) SetRebuildPolicy(p RebuildPolicy) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.policy = p
-}
-
-// RebuildPolicy returns the auto-mode thresholds in effect (defaults
-// resolved).
-func (d *Dynamic) RebuildPolicy() RebuildPolicy {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.policy.withDefaults()
 }
 
 // LastRebuild returns the report of the most recently completed rebuild,
@@ -206,12 +170,9 @@ func (d *Dynamic) Rebuild() error {
 // the report. Cancellation on ctx aborts between stages (and between
 // blocks) with the old state intact.
 func (d *Dynamic) RebuildCtx(ctx context.Context, mode RebuildMode) (RebuildReport, error) {
-	switch mode {
-	case RebuildAuto, RebuildFull, RebuildIncremental:
-	case "":
-		mode = RebuildAuto
-	default:
-		return RebuildReport{}, fmt.Errorf("core: rebuild mode %q must be auto, full, or incremental", mode)
+	mode, err := ParseRebuildMode(string(mode))
+	if err != nil {
+		return RebuildReport{}, err
 	}
 	d.mu.Lock()
 	if d.rebuilding {
@@ -253,11 +214,10 @@ func (d *Dynamic) RebuildCtx(ctx context.Context, mode RebuildMode) (RebuildRepo
 
 	start := time.Now()
 	var p *Precomputed
-	var err error
 	if plan != nil {
-		p, err = rebuildIncremental(ctx, snap, oldP, opts, plan, &rep)
+		p, err = rebuildIncremental(ctx, snap, oldP, plan, &rep)
 	} else {
-		p, err = PreprocessCtx(ctx, snap, opts)
+		p, err = preprocessCtx(ctx, snap, opts, true)
 		if err == nil {
 			rep.TimeOrdering = p.Stats.TimeOrdering
 			rep.TimeBlockLU = p.Stats.TimeLU1
@@ -331,11 +291,7 @@ func (d *Dynamic) incrementalPlanLocked() (*incrPlan, string) {
 	if p.incr == nil {
 		return nil, FallbackNoCache
 	}
-	pol := d.policy.withDefaults()
-	if float64(len(d.dirty)) > pol.MaxChurnFraction*float64(p.N) {
-		return nil, FallbackChurn
-	}
-	if d.lastFullNNZ > 0 && float64(p.NNZ()) > pol.MaxFillRatio*float64(d.lastFullNNZ) {
+	if d.lastFullNNZ > 0 && float64(p.NNZ()) > maxFillRatio*float64(d.lastFullNNZ) {
 		return nil, FallbackFillRatio
 	}
 	blockSet := make(map[int]bool)
@@ -374,9 +330,7 @@ func (d *Dynamic) incrementalPlanLocked() (*incrPlan, string) {
 // mutates old — concurrent queries keep reading it — and returns a new
 // Precomputed whose query results are bit-identical to a full
 // re-factorization of the snapshot under the reused ordering.
-func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed, opts Options, plan *incrPlan, rep *RebuildReport) (*Precomputed, error) {
-	opts = opts.withDefaults()
-
+func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed, plan *incrPlan, rep *RebuildReport) (*Precomputed, error) {
 	// Stage 1 (Algorithm 1 line 5, dirty blocks only): rebuild each dirty
 	// diagonal block of H₁₁ from the snapshot rows and re-factor it with
 	// the same per-block LU + triangular inversion the full pass uses.
@@ -492,7 +446,7 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 	// stage (the ordering, whole-matrix LU, full Schur products over n₁)
 	// is gone.
 	tfactor := time.Now()
-	l2inv, u2inv, sperm, err := factorSchur(s, opts.DenseSchurCutoff)
+	l2inv, u2inv, sperm, err := factorSchur(s, DefaultDenseSchurCutoff)
 	if err != nil {
 		return nil, fmt.Errorf("core: incremental rebuild factoring Schur complement: %w", err)
 	}

@@ -42,9 +42,8 @@ func csrBitsEqual(a, b *sparse.CSR) bool {
 // old.Perm). This is the oracle the incremental rebuild must match
 // bit-for-bit: it performs the same arithmetic in the same association
 // order, just without skipping the clean blocks.
-func pinnedFullPrecomputed(t *testing.T, snap *graph.Graph, old *Precomputed, opts Options) *Precomputed {
+func pinnedFullPrecomputed(t *testing.T, snap *graph.Graph, old *Precomputed) *Precomputed {
 	t.Helper()
-	opts = opts.withDefaults()
 	n, n1 := old.N, old.N1
 	h := snap.HMatrixCSC(old.C, false)
 	hp := h.Permute(old.Perm, old.Perm)
@@ -86,7 +85,7 @@ func pinnedFullPrecomputed(t *testing.T, snap *graph.Graph, old *Precomputed, op
 		t2 = sparse.NewCSR(n1, 0, nil)
 		s = sparse.NewCSR(0, 0, nil)
 	}
-	l2inv, u2inv, sperm, err := factorSchur(s, opts.DenseSchurCutoff)
+	l2inv, u2inv, sperm, err := factorSchur(s, DefaultDenseSchurCutoff)
 	if err != nil {
 		t.Fatalf("pinned full rebuild: factoring Schur complement: %v", err)
 	}
@@ -204,7 +203,7 @@ func TestIncrementalRebuildBitIdentical(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				applyEligibleChurn(t, rng, d, 0.05)
 				snap := d.Graph()
-				pinned := pinnedFullPrecomputed(t, snap, d.Precomputed(), d.Options())
+				pinned := pinnedFullPrecomputed(t, snap, d.Precomputed())
 
 				rep, err := d.RebuildCtx(context.Background(), RebuildIncremental)
 				if err != nil {
@@ -359,15 +358,11 @@ func TestIncrementalRebuildFallbacks(t *testing.T) {
 			}
 			return d
 		}, FallbackCrossBlock},
-		{"churn", func(t *testing.T) *Dynamic {
-			d := newDyn(t, Options{K: 2})
-			d.SetRebuildPolicy(RebuildPolicy{MaxChurnFraction: 1e-9})
-			dirtySpoke(t, d)
-			return d
-		}, FallbackChurn},
 		{"fill_ratio", func(t *testing.T) *Dynamic {
 			d := newDyn(t, Options{K: 2})
-			d.SetRebuildPolicy(RebuildPolicy{MaxFillRatio: 1e-9})
+			// Pretend the last full build was far sparser than the current
+			// index, as if incremental rebuilds had densified it.
+			d.lastFullNNZ = 1
 			dirtySpoke(t, d)
 			return d
 		}, FallbackFillRatio},

@@ -33,7 +33,7 @@ func TestQueryCtxCancelled(t *testing.T) {
 	if _, err := p.QueryEffectiveImportanceCtx(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QueryEffectiveImportanceCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := p.QueryBatchCtx(ctx, []int{0, 1, 2}, 2); !errors.Is(err, context.Canceled) {
+	if _, err := p.QueryBatchCtx(ctx, []int{0, 1, 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QueryBatchCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
 	// An already-expired deadline behaves the same way.

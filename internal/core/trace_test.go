@@ -133,7 +133,7 @@ func TestBatchTracePropagation(t *testing.T) {
 	tr := obsv.NewTrace()
 	ctx := obsv.WithTrace(context.Background(), tr)
 	seeds := []int{0, 1, 2, 3}
-	if _, err := p.QueryBatchCtx(ctx, seeds, 0); err != nil {
+	if _, err := p.QueryBatchCtx(ctx, seeds); err != nil {
 		t.Fatalf("QueryBatchCtx: %v", err)
 	}
 	got := countSpans(tr.Spans())

@@ -50,10 +50,6 @@ func (f *FlakyReader) err() error {
 	return ErrInjected
 }
 
-// TruncatedReader delivers at most N bytes of R and then reports a clean
-// EOF, simulating a file cut short by a crash mid-write.
-func TruncatedReader(r io.Reader, n int64) io.Reader { return io.LimitReader(r, n) }
-
 // FlakyWriter writes to W and fails with Err (default ErrInjected) after N
 // bytes, simulating a disk filling up or a peer closing the connection.
 type FlakyWriter struct {

@@ -80,13 +80,6 @@ func (in *Injector) SetDown(down bool) {
 	in.down = down
 }
 
-// Down reports the kill switch.
-func (in *Injector) Down() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.down
-}
-
 // Served reports how many requests have entered the injector.
 func (in *Injector) Served() int64 {
 	in.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"bear/internal/graph"
 )
@@ -108,14 +109,16 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 		}
 	}
 	for u := m0; u < n; u++ {
-		chosen := make(map[int]bool, k)
+		// Targets are attached in draw order, so the attachment list — and
+		// with it every later draw — depends only on the seed.
+		chosen := make([]int, 0, k)
 		for len(chosen) < k {
 			v := targets[rng.Intn(len(targets))]
-			if v != u {
-				chosen[v] = true
+			if v != u && !slices.Contains(chosen, v) {
+				chosen = append(chosen, v)
 			}
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			b.AddUndirected(u, v, 1)
 			targets = append(targets, u, v)
 		}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"bear/internal/graph"
@@ -84,6 +85,23 @@ func TestBarabasiAlbert(t *testing.T) {
 	}
 	if mx < 20 {
 		t.Fatalf("max degree %d suspiciously small for preferential attachment", mx)
+	}
+}
+
+// TestBarabasiAlbertDeterministic pins that one seed yields one graph,
+// edge for edge: the attachment list must not depend on map iteration
+// order.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	a, b := BarabasiAlbert(500, 3, 2), BarabasiAlbert(500, 3, 2)
+	if a.N() != b.N() || a.M() != b.M() {
+		t.Fatalf("same seed gave n=%d m=%d and n=%d m=%d", a.N(), a.M(), b.N(), b.M())
+	}
+	for u := 0; u < a.N(); u++ {
+		da, wa := a.Out(u)
+		db, wb := b.Out(u)
+		if !slices.Equal(da, db) || !slices.Equal(wa, wb) {
+			t.Fatalf("node %d: out-edges %v/%v vs %v/%v", u, da, wa, db, wb)
+		}
 	}
 }
 

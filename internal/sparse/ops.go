@@ -108,25 +108,6 @@ func (m *CSR) MulVecColRangeTo(y, x []float64, lo, hi int) {
 	}
 }
 
-// MulVecT computes y = Aᵀ x for a CSR matrix without materializing the
-// transpose. x must have length m.R; the result has length m.C.
-func (m *CSR) MulVecT(x []float64) []float64 {
-	if len(x) != m.R {
-		panic(fmt.Sprintf("sparse: MulVecT shape mismatch: A is %dx%d, len(x)=%d", m.R, m.C, len(x)))
-	}
-	y := make([]float64, m.C)
-	for i := 0; i < m.R; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			y[m.ColIdx[k]] += m.Val[k] * xi
-		}
-	}
-	return y
-}
-
 // Scale multiplies every stored entry by a, in place, and returns m.
 func (m *CSR) Scale(a float64) *CSR {
 	for i := range m.Val {

@@ -111,17 +111,6 @@ func TestMulVecRangePanics(t *testing.T) {
 	}
 }
 
-func TestMulVecT(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		r, c := 1+rng.Intn(15), 1+rng.Intn(15)
-		m := randomCSR(rng, r, c, 0.3)
-		x := randomVec(rng, r)
-		want := m.Transpose().MulVec(x)
-		densesEqual(t, m.MulVecT(x), want, 1e-12, "MulVecT")
-	}
-}
-
 func TestMulVecShapePanics(t *testing.T) {
 	m := Identity(3)
 	defer func() {

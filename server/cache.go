@@ -219,7 +219,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		} else {
-			vecs, err = e.dyn.QueryBatchCtx(ctx, missSeeds, 0)
+			vecs, err = e.dyn.QueryBatchCtx(ctx, missSeeds)
 		}
 		if err != nil {
 			writeError(w, queryError(err))

@@ -203,7 +203,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		for j, i := range missIdx {
 			missSeeds[j] = req.Seeds[i]
 		}
-		vecs, err := e.dyn.QueryBatchCtx(ctx, missSeeds, 0)
+		vecs, err := e.dyn.QueryBatchCtx(ctx, missSeeds)
 		if err != nil {
 			writeError(w, queryError(err))
 			return

@@ -286,7 +286,7 @@ func (s *Server) recordRebuildOutcome(name string, rep bear.RebuildReport) {
 		g, obsv.L("mode", string(rep.Mode))).Inc()
 	if rep.FallbackReason != "" {
 		m.reg.Counter("bear_rebuild_fallback_total",
-			"Auto-mode rebuilds that fell back to a full pass, by reason. A steady stream of hub_dirty or churn fallbacks means the update pattern defeats incremental rebuilds; see OPERATIONS.md.",
+			"Auto-mode rebuilds that fell back to a full pass, by reason. A steady stream of hub_dirty or cross_block fallbacks means the update pattern defeats incremental rebuilds; see OPERATIONS.md.",
 			g, obsv.L("reason", rep.FallbackReason)).Inc()
 	}
 }

@@ -124,7 +124,6 @@ func (s *Server) ReadSnapshot(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("server: restoring graph %q: %w", name, err)
 		}
-		s.applyRebuildPolicy(dyn)
 		graphs[name] = &entry{
 			dyn:     dyn,
 			opts:    dyn.Options(),

@@ -38,13 +38,6 @@ type Server struct {
 	// otherwise.
 	RebuildThreshold int
 
-	// RebuildMaxChurn, when positive, overrides the auto-mode incremental
-	// rebuild churn threshold (the largest dirty-node fraction rebuilt
-	// incrementally) for every graph registered with this server. Zero
-	// keeps the engine default (0.10). Set from the bearserve
-	// -rebuild-churn flag.
-	RebuildMaxChurn float64
-
 	// MaxBodyBytes caps upload sizes (default 256 MiB).
 	MaxBodyBytes int64
 
@@ -231,7 +224,6 @@ func (s *Server) AddCtx(ctx context.Context, name string, g *bear.Graph, opts be
 	if err != nil {
 		return err
 	}
-	s.applyRebuildPolicy(dyn)
 	e := &entry{dyn: dyn, opts: opts, created: time.Now(), gen: nextGen.Add(1)}
 	s.mu.Lock()
 	s.graphs[name] = e
@@ -241,15 +233,6 @@ func (s *Server) AddCtx(ctx context.Context, name string, g *bear.Graph, opts be
 	// rebinds the gauge callbacks to the new Dynamic.
 	s.exportGraphMetrics(name, e)
 	return nil
-}
-
-// applyRebuildPolicy pushes the server-wide auto-rebuild thresholds onto
-// a graph entering the registry, whatever door it came through (API
-// registration, snapshot restore, cluster transfer).
-func (s *Server) applyRebuildPolicy(dyn *bear.Dynamic) {
-	if s.RebuildMaxChurn > 0 {
-		dyn.SetRebuildPolicy(bear.RebuildPolicy{MaxChurnFraction: s.RebuildMaxChurn})
-	}
 }
 
 func validateName(name string) error {

@@ -50,7 +50,6 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("importing graph state: %v", err))
 		return
 	}
-	s.applyRebuildPolicy(dyn)
 	e := &entry{dyn: dyn, opts: dyn.Options(), created: time.Now(), gen: nextGen.Add(1)}
 	s.mu.Lock()
 	s.graphs[name] = e
